@@ -17,10 +17,7 @@
 //	h.Free(ctx)
 //	c.Close()
 //
-// The XCtx spellings (FactorizeCtx, SolveCtx, ...) from the era when the
-// plain names lacked a context remain as deprecated aliases of the canonical
-// methods; see deprecated.go. Client.Metrics reports the client's own
-// request/error/dial counters.
+// Client.Metrics reports the client's own request/error/dial counters.
 //
 // Multi-tenant servers attribute work to tenants for fair-share scheduling
 // (see DESIGN.md, "Coalescing & QoS"). Dial with WithTenant to stamp every
@@ -43,13 +40,10 @@ package client
 import (
 	"context"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"sstar"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
 // RequestStats is the server's per-request cost split (queue wait,
@@ -69,7 +63,7 @@ func WithMaxIdle(n int) Option { return func(c *Client) { c.maxIdle = n } }
 // WithDialTimeout bounds each dial (default 5s).
 func WithDialTimeout(d time.Duration) Option { return func(c *Client) { c.dialTimeout = d } }
 
-// WithMaxFrame caps an incoming response frame (default wire.DefaultMaxPayload).
+// WithMaxFrame caps an incoming response frame (default 64 MiB).
 func WithMaxFrame(n int) Option { return func(c *Client) { c.maxFrame = n } }
 
 // WithRetry makes the client retry failed round trips under p — see
@@ -90,12 +84,12 @@ func WithTenant(tenant string) Option { return func(c *Client) { c.tenant = tena
 // the client follows the redirect transparently, dialing and pooling the new
 // address alongside the primary (see Metrics.Redirects).
 type Client struct {
-	network, addr string
-	maxIdle       int
-	maxFrame      int
-	dialTimeout   time.Duration
-	retry         RetryPolicy
-	tenant        string
+	addr        string
+	maxIdle     int
+	maxFrame    int
+	dialTimeout time.Duration
+	retry       RetryPolicy
+	tenant      string
 
 	// shared is the pool and counter state every tenant-derived view of this
 	// client (ForTenant) has in common; the view copies the config fields
@@ -106,11 +100,8 @@ type Client struct {
 // shared is the state common to a Client and all its ForTenant views: the
 // per-address connection pool and the client metrics.
 type shared struct {
-	mu     sync.Mutex
-	idle   map[string][]net.Conn // per target address
-	closed bool
-
-	met clientMetrics
+	pool *server.Pool
+	met  clientMetrics
 }
 
 // Dial returns a client for the service at addr ("tcp", "host:port" or
@@ -118,22 +109,14 @@ type shared struct {
 // handshaked eagerly so a wrong address or incompatible server fails here,
 // not on the first request.
 func Dial(network, addr string, opts ...Option) (*Client, error) {
-	c := &Client{
-		network:     network,
-		addr:        addr,
-		maxIdle:     4,
-		maxFrame:    wire.DefaultMaxPayload,
-		dialTimeout: 5 * time.Second,
-		shared:      &shared{idle: make(map[string][]net.Conn)},
-	}
+	c := &Client{addr: addr, maxIdle: 4}
 	for _, o := range opts {
 		o(c)
 	}
-	conn, err := c.dial(addr)
-	if err != nil {
-		return nil, err
+	c.shared = &shared{pool: server.NewPool(network, c.dialTimeout, c.maxIdle, c.maxFrame)}
+	if err := c.pool.Warm(context.TODO(), addr); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	c.put(addr, conn)
 	return c, nil
 }
 
@@ -148,79 +131,11 @@ func (c *Client) ForTenant(tenant string) *Client {
 	return &view
 }
 
-// dial opens and handshakes a fresh connection to addr (the primary, or a
-// shard a cluster redirect pointed at).
-func (c *Client) dial(addr string) (net.Conn, error) {
-	c.met.dials.Add(1)
-	conn, err := net.DialTimeout(c.network, addr, c.dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s %s: %w", c.network, addr, err)
-	}
-	if err := wire.WriteGob(conn, server.FrameHello, server.Hello{Magic: server.ProtoMagic, Version: server.ProtoVersion}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	var hello server.Hello
-	if err := wire.ReadGob(conn, server.FrameHello, 1<<16, &hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("client: handshake: %w", err)
-	}
-	if hello.Magic != server.ProtoMagic || hello.Version != server.ProtoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("client: server speaks %q v%d, want %q v%d", hello.Magic, hello.Version, server.ProtoMagic, server.ProtoVersion)
-	}
-	return conn, nil
-}
-
-// get pops an idle connection to addr or dials a new one. reused reports
-// which: a pooled connection may have died since it was pooled (a server
-// restart, an idle timeout on a middlebox), so failures on it are eligible
-// for one transparent redial (see doRoundTrip).
-func (c *Client) get(addr string) (conn net.Conn, reused bool, err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("client: closed")
-	}
-	if conns := c.idle[addr]; len(conns) > 0 {
-		conn := conns[len(conns)-1]
-		c.idle[addr] = conns[:len(conns)-1]
-		c.mu.Unlock()
-		c.met.reused.Add(1)
-		return conn, true, nil
-	}
-	c.mu.Unlock()
-	conn, err = c.dial(addr)
-	return conn, false, err
-}
-
-// put returns a healthy connection to addr's pool (or closes it beyond
-// maxIdle per address).
-func (c *Client) put(addr string, conn net.Conn) {
-	c.mu.Lock()
-	if !c.closed && len(c.idle[addr]) < c.maxIdle {
-		c.idle[addr] = append(c.idle[addr], conn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
 // Close releases every pooled connection, including those of ForTenant views
 // (the pool is shared). In-flight requests on checked-out connections
 // finish; their connections are then closed on return.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conns := range idle {
-		for _, conn := range conns {
-			conn.Close()
-		}
-	}
+	c.pool.Close()
 	return nil
 }
 

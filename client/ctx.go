@@ -10,7 +10,6 @@ import (
 
 	"sstar"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
 // clientMetrics is the client's own counter block (see Metrics).
@@ -18,10 +17,7 @@ type clientMetrics struct {
 	requests  atomic.Int64
 	errors    atomic.Int64
 	canceled  atomic.Int64
-	dials     atomic.Int64
-	reused    atomic.Int64
 	retries   atomic.Int64
-	redials   atomic.Int64
 	sheds     atomic.Int64
 	redirects atomic.Int64
 }
@@ -54,14 +50,15 @@ type Metrics struct {
 // Metrics returns a snapshot of the client's counters. Safe to call
 // concurrently with requests.
 func (c *Client) Metrics() Metrics {
+	pool := c.pool.Stats()
 	return Metrics{
 		Requests:  c.met.requests.Load(),
 		Errors:    c.met.errors.Load(),
 		Canceled:  c.met.canceled.Load(),
-		Dials:     c.met.dials.Load(),
-		Reused:    c.met.reused.Load(),
+		Dials:     pool.Dials,
+		Reused:    pool.Reused,
 		Retries:   c.met.retries.Load(),
-		Redials:   c.met.redials.Load(),
+		Redials:   pool.Redials,
 		Sheds:     c.met.sheds.Load(),
 		Redirects: c.met.redirects.Load(),
 	}
@@ -130,7 +127,7 @@ func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred
 		target = c.addr
 	}
 	for attempt := 0; ; attempt++ {
-		resp, err = c.doRoundTrip(ctx, req, target)
+		resp, err = c.call(ctx, req, target)
 		var hops []string
 		budget := maxRedirectFollows
 		var epoch uint64
@@ -157,7 +154,7 @@ func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred
 			c.met.redirects.Add(1)
 			hops = append(hops, target)
 			target = resp.Addr
-			resp, err = c.doRoundTrip(ctx, req, target)
+			resp, err = c.call(ctx, req, target)
 		}
 		if err == nil {
 			return resp, target, nil
@@ -179,92 +176,20 @@ func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred
 		target = c.addr
 	}
 	c.met.errors.Add(1)
-	if ctx.Err() != nil {
+	// A passed deadline can fail the exchange before ctx's own timer fires.
+	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 		c.met.canceled.Add(1)
 	}
 	return resp, target, err
 }
 
-// doRoundTrip performs one attempt against addr: send the request, read the
-// response. A transport failure on a *pooled* connection — the classic
-// stale-connection trap after a server restart — is healed transparently for
-// idempotent operations: the dead connection is dropped and the attempt
-// repeated once on a fresh dial. Non-idempotent operations (factorize, free)
-// surface the error instead, because the stale connection's failure mode is
-// ambiguous about whether the server executed the request.
-func (c *Client) doRoundTrip(ctx context.Context, req *server.Request, addr string) (*server.Response, error) {
-	resp, err, failedPooled := c.attempt(ctx, req, addr)
-	if failedPooled && req.Op.Idempotent() && ctx.Err() == nil {
-		c.met.redials.Add(1)
-		resp, err, _ = c.attempt(ctx, req, addr)
-	}
-	return resp, err
-}
-
-// attempt is one wire exchange. failedPooled reports a transport failure on
-// a connection that came from the idle pool (never set for in-band server
-// errors, context failures, or failures on freshly dialed connections).
-func (c *Client) attempt(ctx context.Context, req *server.Request, addr string) (_ *server.Response, err error, failedPooled bool) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("client: %w", err), false
-	}
-	conn, reused, err := c.get(addr)
+// call is one exchange with addr through the shared pool (which owns the
+// deadline header, cancellation, and the one re-dial of a stale pooled
+// connection), with an in-band failure surfaced as a *RemoteError.
+func (c *Client) call(ctx context.Context, req *server.Request, addr string) (*server.Response, error) {
+	resp, _, err := c.pool.Call(ctx, addr, req)
 	if err != nil {
-		return nil, err, false
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	// Deadline header: the server sheds the request instead of running it
-	// when its queue wait alone would exhaust the remaining budget.
-	if d, ok := ctx.Deadline(); ok {
-		req.TimeoutNs = max(time.Until(d).Nanoseconds(), 1)
-	} else {
-		req.TimeoutNs = 0
-	}
-	// Deadline propagation: the context deadline bounds both frames, and an
-	// asynchronous cancel moves the deadline into the past so a blocked
-	// Read/Write returns immediately with a timeout.
-	var stop func() bool
-	if ctx.Done() != nil {
-		if d, ok := ctx.Deadline(); ok {
-			conn.SetDeadline(d)
-		}
-		stop = context.AfterFunc(ctx, func() {
-			conn.SetDeadline(time.Unix(1, 0))
-		})
-	}
-	// ctxErr prefers the context's error over the transport error it caused.
-	ctxErr := func(op string, err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("client: %s: %w", op, cerr)
-		}
-		return fmt.Errorf("client: %s: %w", op, err)
-	}
-	if err := wire.WriteGob(conn, server.FrameRequest, req); err != nil {
-		if stop != nil {
-			stop()
-		}
-		conn.Close()
-		return nil, ctxErr("send", err), reused && ctx.Err() == nil
-	}
-	resp := new(server.Response)
-	if err := wire.ReadGob(conn, server.FrameResponse, c.maxFrame, resp); err != nil {
-		if stop != nil {
-			stop()
-		}
-		conn.Close()
-		return nil, ctxErr("receive", err), reused && ctx.Err() == nil
-	}
-	if stop != nil {
-		if !stop() {
-			// The cancel fired after the response landed: the result is
-			// valid, but the AfterFunc may be poisoning the deadline
-			// concurrently, so the connection cannot be trusted to the pool.
-			conn.Close()
-		} else {
-			conn.SetDeadline(time.Time{})
-			c.put(addr, conn)
-		}
-	} else {
-		c.put(addr, conn)
-	}
-	return resp, resp.Error(), false
+	return resp, resp.Error()
 }

@@ -65,7 +65,7 @@ func TestCtxDeadlineCutsStalledRequest(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	err = c.PingCtx(ctx)
+	err = c.Ping(ctx)
 	elapsed := time.Since(t0)
 	if err == nil {
 		t.Fatal("ping against a silent server succeeded")
@@ -97,7 +97,7 @@ func TestCtxCancelMidFlight(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	if err := c.PingCtx(ctx); !errors.Is(err, context.Canceled) {
+	if err := c.Ping(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
 }
@@ -112,12 +112,12 @@ func TestCtxAlreadyCanceled(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.PingCtx(ctx); !errors.Is(err, context.Canceled) {
+	if err := c.Ping(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
 }
 
-// TestCtxRoundTripsAndClientMetrics: the Ctx variants work end to end
+// TestCtxRoundTripsAndClientMetrics: the context-first calls work end to end
 // against a real server, a generous deadline never interferes, and the
 // client's own counters add up.
 func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
@@ -132,7 +132,7 @@ func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 	defer cancel()
 
 	a := sstar.GenGrid2D(7, 7, false, sstar.GenOptions{Seed: 21})
-	h, st, err := c.FactorizeCtx(ctx, a, sstar.DefaultOptions())
+	h, st, err := c.Factorize(ctx, a, sstar.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 	}
 	b := make([]float64, a.N)
 	b[0] = 1
-	x, _, err := h.SolveCtx(ctx, b)
+	x, _, err := h.Solve(ctx, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +152,18 @@ func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 	for i := range vals {
 		vals[i] *= 3
 	}
-	if _, err := h.RefactorizeCtx(ctx, vals); err != nil {
+	if _, err := h.Refactorize(ctx, vals); err != nil {
 		t.Fatal(err)
 	}
 	a2 := a.Clone()
 	copy(a2.Val, vals)
-	if _, err := h.RefactorizeMatrixCtx(ctx, a2); err != nil {
+	if _, err := h.RefactorizeMatrix(ctx, a2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StatsCtx(ctx); err != nil {
+	if _, err := c.Stats(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.FreeCtx(ctx); err != nil {
+	if err := h.Free(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,7 +184,7 @@ func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 
 // TestCtxObserverStrippedBeforeWire: a non-nil Options.Observer must not
 // reach gob encoding (it would fail: the interface type is unregistered) —
-// FactorizeCtx strips it.
+// Factorize strips it.
 func TestCtxObserverStrippedBeforeWire(t *testing.T) {
 	addr := startServer(t, server.Config{Workers: 1})
 	c, err := client.Dial("tcp", addr)

@@ -71,9 +71,10 @@ type SolveStats struct {
 }
 
 // SolveDistributed solves A x = b on the virtual machine with the factors
-// distributed across the processors of the preceding FactorizeParallel run:
-// 1D mappings run the fan-in solver over the factorization's own column-block
-// owners, 2D mappings the block-cyclic 2D solver on the same grid. It
+// distributed across the processors of the Factorize run (Options.Procs > 0)
+// that produced them: 1D mappings run the fan-in solver over the
+// factorization's own column-block owners, 2D mappings the block-cyclic 2D
+// solver on the same grid. It
 // demonstrates the paper's remark that the triangular solves cost far less
 // than the factorization. On a Factorization produced by the sequential
 // Factorize it models a single-processor solve.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -435,7 +436,9 @@ func (sh *Shard) heartbeat() {
 		if joinNeeded {
 			req.Join = true
 		}
-		resp, _, err := sh.peers.call(addr, req)
+		ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+		resp, _, err := sh.pool.Call(ctx, addr, req)
+		cancel()
 		if err != nil || resp.Err != "" {
 			continue // no ack: phi keeps growing
 		}

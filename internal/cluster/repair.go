@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -84,7 +85,9 @@ func (sh *Shard) sweep(allowDrop bool) {
 		if m == sh.cfg.Self {
 			continue
 		}
-		resp, _, err := sh.peers.call(m, &server.Request{Op: server.OpManifest})
+		ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+		resp, _, err := sh.pool.Call(ctx, m, &server.Request{Op: server.OpManifest})
+		cancel()
 		if err != nil || resp.Err != "" {
 			peerMan[m] = nil
 			continue

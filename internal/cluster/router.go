@@ -1,15 +1,16 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sstar"
 	"sstar/internal/obs"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
 // RouterConfig configures a Router.
@@ -39,9 +40,9 @@ type RouterConfig struct {
 // same Hello, same frames, same response codes — so the fleet is a drop-in
 // replacement for one sstar-serve.
 type Router struct {
-	cfg   RouterConfig
-	ring  *Ring
-	peers *peers
+	cfg  RouterConfig
+	ring *Ring
+	pool *server.Pool
 
 	placeMu sync.Mutex
 	place   map[uint64]uint64 // handle -> structure key, learned from factorize responses
@@ -90,7 +91,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return &Router{
 		cfg:       cfg,
 		ring:      ring,
-		peers:     newPeers(cfg.Network, cfg.MaxFrame),
+		pool:      server.NewPool(cfg.Network, 0, peerIdle, cfg.MaxFrame),
 		place:     make(map[uint64]uint64),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -155,7 +156,7 @@ func (r *Router) Close() error {
 	}
 	r.mu.Unlock()
 	r.connWg.Wait()
-	r.peers.close()
+	r.pool.Close()
 	return nil
 }
 
@@ -168,33 +169,8 @@ func (r *Router) handleConn(conn net.Conn) {
 		delete(r.conns, conn)
 		r.mu.Unlock()
 	}()
-	var hello server.Hello
-	if err := wire.ReadGob(conn, server.FrameHello, 1<<16, &hello); err != nil {
-		return
-	}
-	if hello.Magic != server.ProtoMagic || hello.Version != server.ProtoVersion {
-		wire.WriteGob(conn, server.FrameResponse, &server.Response{Err: fmt.Sprintf("cluster: unsupported protocol %q v%d", hello.Magic, hello.Version)})
-		return
-	}
-	if err := wire.WriteGob(conn, server.FrameHello, server.Hello{Magic: server.ProtoMagic, Version: server.ProtoVersion}); err != nil {
-		return
-	}
-	maxFrame := r.peers.maxFrame
-	for {
-		req := new(server.Request)
-		if err := wire.ReadGob(conn, server.FrameRequest, maxFrame, req); err != nil {
-			return
-		}
-		resp := r.handle(req)
-		if resp == nil {
-			// Defensive: handle never returns nil anymore (ambiguous
-			// failures are answered in-band with CodeAmbiguous), but a nil
-			// response must still not be gobbed onto the wire.
-			return
-		}
-		if err := wire.WriteGob(conn, server.FrameResponse, resp); err != nil {
-			return
-		}
+	if err := server.ServeConn(conn, r.cfg.MaxFrame, r.handle); err != nil {
+		r.logf("cluster: %s: %v", conn.RemoteAddr(), err)
 	}
 }
 
@@ -206,21 +182,29 @@ func (r *Router) keyOf(handle uint64) uint64 {
 	return r.place[handle]
 }
 
-// handle routes one request.
+// handle routes one request. The client's time budget (req.TimeoutNs), when
+// it sent one, bounds every shard exchange made on its behalf, so the shards
+// shed work the client has already given up on.
 func (r *Router) handle(req *server.Request) *server.Response {
 	r.requests.Add(1)
+	ctx := context.Background()
+	if req.TimeoutNs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNs))
+		defer cancel()
+	}
 	var resp *server.Response
 	switch req.Op {
 	case server.OpPing:
 		return &server.Response{}
 	case server.OpStats:
-		return &server.Response{Server: r.aggregateStats()}
+		return &server.Response{Server: r.aggregateStats(ctx)}
 	case server.OpFactorize:
 		if req.Matrix == nil {
 			return &server.Response{Err: "cluster: factorize needs a matrix"}
 		}
 		key := sstar.StructureKey(req.Matrix, req.Opts)
-		resp = r.forward(req, key)
+		resp = r.forward(ctx, req, key)
 		if resp != nil && resp.Err == "" {
 			r.placeMu.Lock()
 			r.place[resp.Handle] = resp.Key
@@ -239,9 +223,9 @@ func (r *Router) handle(req *server.Request) *server.Response {
 		req.Key = key
 		candidates := r.candidatesFor(key)
 		if req.Op == server.OpSolveMany && key != 0 && req.NRHS >= 4 && len(candidates) >= 2 {
-			resp = r.scatterSolveMany(req, candidates)
+			resp = r.scatterSolveMany(ctx, req, candidates)
 		} else {
-			resp = r.forward(req, key)
+			resp = r.forward(ctx, req, key)
 		}
 		if req.Op == server.OpFree && resp != nil && resp.Err == "" {
 			r.placeMu.Lock()
@@ -290,10 +274,10 @@ func (r *Router) candidatesFor(key uint64) []string {
 // membership change the router has not seen — so the router refreshes its
 // view from any answering member and, if the epoch advanced, re-resolves the
 // candidates once and tries again.
-func (r *Router) forward(req *server.Request, key uint64) *server.Response {
-	resp, lastErr := r.forwardOnce(req, r.candidatesFor(key))
-	if resp == nil && r.refreshRing("") {
-		resp, lastErr = r.forwardOnce(req, r.candidatesFor(key))
+func (r *Router) forward(ctx context.Context, req *server.Request, key uint64) *server.Response {
+	resp, lastErr := r.forwardOnce(ctx, req, r.candidatesFor(key))
+	if resp == nil && r.refreshRing(ctx, "") {
+		resp, lastErr = r.forwardOnce(ctx, req, r.candidatesFor(key))
 	}
 	if resp == nil {
 		return &server.Response{
@@ -314,12 +298,14 @@ func (r *Router) forward(req *server.Request, key uint64) *server.Response {
 // operation executed, and blind retry could double-execute. A nil response
 // means every candidate was transport-unreachable (the caller may refresh
 // the ring and retry).
-func (r *Router) forwardOnce(req *server.Request, candidates []string) (*server.Response, error) {
+func (r *Router) forwardOnce(ctx context.Context, req *server.Request, candidates []string) (*server.Response, error) {
 	var last *server.Response
 	var lastErr error
 	for i, addr := range candidates {
 		for hop := 0; hop < maxRedirectHops; hop++ {
-			resp, delivered, err := r.peers.call(addr, req)
+			callCtx, cancel := context.WithTimeout(ctx, rpcTimeout)
+			resp, delivered, err := r.pool.Call(callCtx, addr, req)
+			cancel()
 			if err != nil {
 				if delivered && !req.Op.Idempotent() {
 					r.ambiguous.Add(1)
@@ -335,7 +321,7 @@ func (r *Router) forwardOnce(req *server.Request, candidates []string) (*server.
 			if resp.Epoch > r.ring.Epoch() {
 				// The shard's membership view is newer than ours: adopt it
 				// before acting on a placement answer computed from it.
-				r.refreshRing(addr)
+				r.refreshRing(ctx, addr)
 			}
 			switch resp.Code {
 			case server.CodeRedirect, server.CodeNotOwner:
@@ -364,7 +350,7 @@ func (r *Router) forwardOnce(req *server.Request, candidates []string) (*server.
 // answering ring member and adopts it if its epoch is newer than the
 // router's. Reports whether the view changed. Serialized so a burst of
 // stale answers costs one exchange.
-func (r *Router) refreshRing(hint string) bool {
+func (r *Router) refreshRing(ctx context.Context, hint string) bool {
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
 	targets := r.ring.Members()
@@ -372,7 +358,9 @@ func (r *Router) refreshRing(hint string) bool {
 		targets = append([]string{hint}, targets...)
 	}
 	for _, m := range targets {
-		resp, _, err := r.peers.call(m, &server.Request{Op: server.OpMembership})
+		callCtx, cancel := context.WithTimeout(ctx, rpcTimeout)
+		resp, _, err := r.pool.Call(callCtx, m, &server.Request{Op: server.OpMembership})
+		cancel()
 		if err != nil || resp.Err != "" || len(resp.Members) == 0 {
 			continue // unreachable, or a standalone server: try the next
 		}
@@ -394,12 +382,12 @@ func (r *Router) refreshRing(hint string) bool {
 // single-shard SolveMany. Any failure of either half falls back to
 // forwarding the whole panel (SolveMany is idempotent, so the re-send is
 // safe).
-func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *server.Response {
+func (r *Router) scatterSolveMany(ctx context.Context, req *server.Request, candidates []string) *server.Response {
 	n := len(req.B) / req.NRHS
 	half := req.NRHS / 2
 	sub := [2]*server.Request{
-		{Op: server.OpSolveMany, Handle: req.Handle, Key: req.Key, B: req.B[:n*half], NRHS: half, TimeoutNs: req.TimeoutNs},
-		{Op: server.OpSolveMany, Handle: req.Handle, Key: req.Key, B: req.B[n*half:], NRHS: req.NRHS - half, TimeoutNs: req.TimeoutNs},
+		{Op: server.OpSolveMany, Handle: req.Handle, Key: req.Key, B: req.B[:n*half], NRHS: half},
+		{Op: server.OpSolveMany, Handle: req.Handle, Key: req.Key, B: req.B[n*half:], NRHS: req.NRHS - half},
 	}
 	var resps [2]*server.Response
 	var errs [2]error
@@ -408,8 +396,9 @@ func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *ser
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _, err := r.peers.call(candidates[i], sub[i])
-			resps[i], errs[i] = resp, err
+			callCtx, cancel := context.WithTimeout(ctx, rpcTimeout)
+			defer cancel()
+			resps[i], _, errs[i] = r.pool.Call(callCtx, candidates[i], sub[i])
 		}(i)
 	}
 	wg.Wait()
@@ -417,7 +406,7 @@ func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *ser
 		if errs[i] != nil || resps[i].Err != "" {
 			// One half failed — replica lagging, shard down, whatever: the
 			// whole panel goes through the ordinary failover path.
-			return r.forward(req, req.Key)
+			return r.forward(ctx, req, req.Key)
 		}
 	}
 	r.scatters.Add(1)
@@ -433,11 +422,13 @@ func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *ser
 // aggregateStats fans OpStats out to every shard and merges: counters sum,
 // the router's own counters ride on top. Unreachable shards are skipped —
 // the Shards field reports how many answered.
-func (r *Router) aggregateStats() server.ServerStats {
+func (r *Router) aggregateStats(ctx context.Context) server.ServerStats {
 	var agg server.ServerStats
 	reachable := 0
 	for _, addr := range r.ring.Members() {
-		resp, _, err := r.peers.call(addr, &server.Request{Op: server.OpStats})
+		callCtx, cancel := context.WithTimeout(ctx, rpcTimeout)
+		resp, _, err := r.pool.Call(callCtx, addr, &server.Request{Op: server.OpStats})
+		cancel()
 		if err != nil || resp.Err != "" {
 			continue
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,14 @@ type ShardConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// Cluster links keep peerIdle idle connections per peer. rpcTimeout bounds
+// one router-to-shard or shard-to-shard exchange; each call site applies it
+// as a context deadline.
+const (
+	peerIdle   = 4
+	rpcTimeout = 60 * time.Second
+)
+
 func (c ShardConfig) withDefaults() ShardConfig {
 	if c.VNodes < 1 {
 		c.VNodes = DefaultVNodes
@@ -104,12 +113,12 @@ type replJob struct {
 // successor asynchronously. Create with NewShard, pass as
 // server.Config.Cluster, then Bind the resulting server.
 type Shard struct {
-	cfg   ShardConfig
-	ring  *Ring
-	peers *peers
-	srv   atomic.Pointer[server.Server]
-	mem   *membership
-	det   *detector
+	cfg  ShardConfig
+	ring *Ring
+	pool *server.Pool
+	srv  atomic.Pointer[server.Server]
+	mem  *membership
+	det  *detector
 
 	jobs       chan replJob
 	rebalance  chan struct{} // kicks an immediate push-only sweep after a membership change
@@ -163,7 +172,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	sh := &Shard{
 		cfg:        cfg,
 		ring:       ring,
-		peers:      newPeers(cfg.Network, cfg.MaxFrame),
+		pool:       server.NewPool(cfg.Network, 0, peerIdle, cfg.MaxFrame),
 		jobs:       make(chan replJob, cfg.QueueDepth),
 		rebalance:  make(chan struct{}, 1),
 		stop:       make(chan struct{}),
@@ -245,7 +254,7 @@ func (sh *Shard) Close() {
 	<-sh.healthDone
 	<-sh.repairDone
 	<-sh.done
-	sh.peers.close()
+	sh.pool.Close()
 }
 
 // Leave announces a coordinated departure: every reachable member receives a
@@ -260,7 +269,10 @@ func (sh *Shard) Leave() {
 			continue
 		}
 		req := &server.Request{Op: server.OpMembership, Addr: sh.cfg.Self, Leave: true}
-		if resp, _, err := sh.peers.call(m, req); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+		resp, _, err := sh.pool.Call(ctx, m, req)
+		cancel()
+		if err != nil {
 			sh.logf("cluster: %s: leave notice to %s failed: %v", sh.cfg.Self, m, err)
 		} else if resp.Err != "" {
 			sh.logf("cluster: %s: leave notice to %s refused: %s", sh.cfg.Self, m, resp.Err)
@@ -479,7 +491,9 @@ func (sh *Shard) push(j replJob, attempts int) {
 			}
 		}
 		var resp *server.Response
-		resp, _, err = sh.peers.call(j.addr, j.req)
+		ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+		resp, _, err = sh.pool.Call(ctx, j.addr, j.req)
+		cancel()
 		if err == nil && resp.Err != "" {
 			// OpFree forwarded for a replica the successor never installed
 			// (or already dropped) answers BadHandle — the desired end

@@ -355,10 +355,10 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handleConn speaks the protocol on one connection: Hello exchange, then a
-// request/response loop. Protocol errors (bad magic, corrupt frames) drop
-// the connection; request-level errors are answered in-band and the
-// connection lives on — the server never dies on bad input.
+// handleConn serves one connection (see ServeConn). Protocol errors (bad
+// magic, corrupt frames) drop the connection; request-level errors are
+// answered in-band and the connection lives on — the server never dies on
+// bad input.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.connWg.Done()
 	defer func() {
@@ -367,29 +367,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	var hello Hello
-	if err := wire.ReadGob(conn, FrameHello, 1<<16, &hello); err != nil {
-		s.logf("server: %s: hello: %v", conn.RemoteAddr(), err)
-		return
-	}
-	if hello.Magic != ProtoMagic || hello.Version != ProtoVersion {
-		s.logf("server: %s: bad hello %+v", conn.RemoteAddr(), hello)
-		wire.WriteGob(conn, FrameResponse, &Response{Err: fmt.Sprintf("server: unsupported protocol %q v%d", hello.Magic, hello.Version)})
-		return
-	}
-	if err := wire.WriteGob(conn, FrameHello, Hello{Magic: ProtoMagic, Version: ProtoVersion}); err != nil {
-		return
-	}
-	for {
-		req := new(Request)
-		if err := wire.ReadGob(conn, FrameRequest, s.cfg.MaxFrame, req); err != nil {
-			// io.EOF here is the clean "client hung up" path.
-			return
-		}
-		resp := s.submit(req)
-		if err := wire.WriteGob(conn, FrameResponse, resp); err != nil {
-			return
-		}
+	if err := ServeConn(conn, s.cfg.MaxFrame, s.submit); err != nil {
+		s.logf("server: %s: %v", conn.RemoteAddr(), err)
 	}
 }
 

@@ -9,11 +9,19 @@ go vet ./...
 go build ./...
 go test ./...
 
+# The benchmark under perfbench/ is a separate module (replace sstar => ../),
+# so the root build never compiles it; vet and build it here so an API break
+# in client/, internal/cluster/ or internal/server/ fails before benchmark
+# time. -o /dev/null keeps the binary out of the checkout.
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
+
 # The cluster package is all cross-shard concurrency (replication queues,
 # failover, scatter/gather, and the self-healing machinery: heartbeat loops,
 # membership merges, repair sweeps racing live traffic); its suite is fast
 # enough to run under the race detector on every commit. The symbolic and
 # supernode packages carry the
 # parallel analyze stages (subtree workers, candidate sweep, block builds)
-# whose byte-identity contract the race detector must see exercised.
-go test -race ./internal/cluster ./internal/symbolic ./internal/supernode
+# whose byte-identity contract the race detector must see exercised. The
+# client shares the cluster's connection pool (internal/server/conn.go), so
+# it runs under the race detector too.
+go test -race ./client ./internal/cluster ./internal/symbolic ./internal/supernode

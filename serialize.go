@@ -99,6 +99,17 @@ func Load(r io.Reader) (*Factorization, error) {
 	if sym.N <= 0 || sym.Partition == nil || sym.Static == nil || fact.BM == nil {
 		return nil, fmt.Errorf("sstar: factorization stream is incomplete")
 	}
+	if err := checkSymbolic(&sym); err != nil {
+		return nil, err
+	}
+	if len(fact.Piv) != sym.N {
+		return nil, fmt.Errorf("sstar: %d pivots for order %d", len(fact.Piv), sym.N)
+	}
+	for m, t := range fact.Piv {
+		if t < 0 || int(t) >= sym.N {
+			return nil, fmt.Errorf("sstar: pivot %d of row %d is outside 0..%d", t, m, sym.N-1)
+		}
+	}
 	fact.Sym = &sym
 	return &Factorization{sym: &sym, fact: fact, patHash: tr.PatHash, patNnz: tr.PatNnz}, nil
 }
@@ -161,10 +172,52 @@ func LoadAnalysis(r io.Reader) (*Analysis, error) {
 	if meta.N <= 0 || len(meta.Ptr) != meta.N+1 || sym.N != meta.N || sym.Partition == nil || sym.Static == nil {
 		return nil, fmt.Errorf("sstar: analysis stream is incomplete")
 	}
+	if err := checkSymbolic(&sym); err != nil {
+		return nil, err
+	}
 	return &Analysis{
 		sym:  &sym,
 		opts: meta.Opts,
 		pat:  &sparse.Pattern{N: meta.N, Ptr: meta.Ptr, Ind: meta.Ind},
 		key:  meta.Key,
 	}, nil
+}
+
+// checkSymbolic rejects a decoded symbolic structure that is internally
+// inconsistent — a checksummed stream can still carry one if it was written
+// that way — so that no later Solve or FactorizeWith indexes out of range:
+// both permutations must permute 0..N-1 and the block partition must rise
+// strictly from 0 to N.
+func checkSymbolic(sym *core.Symbolic) error {
+	n := sym.N
+	for _, perm := range [][]int{sym.RowPerm, sym.ColPerm} {
+		if !isPermutation(perm, n) {
+			return fmt.Errorf("sstar: stream carries a row or column permutation that does not permute 0..%d", n-1)
+		}
+	}
+	p := sym.Partition
+	if p.NB < 1 || len(p.Start) != p.NB+1 || p.Start[0] != 0 || p.Start[p.NB] != n {
+		return fmt.Errorf("sstar: stream carries a block partition that does not span 0..%d", n)
+	}
+	for b := 0; b < p.NB; b++ {
+		if p.Start[b+1] <= p.Start[b] {
+			return fmt.Errorf("sstar: stream carries an empty or reversed block %d", b)
+		}
+	}
+	return nil
+}
+
+// isPermutation reports whether perm holds each of 0..n-1 exactly once.
+func isPermutation(perm []int, n int) bool {
+	if len(perm) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, v := range perm {
+		if v < 0 || v >= n || seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
 }

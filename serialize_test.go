@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sstar/internal/core"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -257,4 +259,56 @@ func TestLoadAnalysisNeverPanicsOnCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	load("a factorization stream", buf.Bytes())
+}
+
+// TestLoadRejectsInconsistentStructure: a stream whose frames all checksum
+// cleanly can still carry a structure that is inconsistent with itself (a
+// buggy or hostile writer, or a replication push). Load and LoadAnalysis
+// must refuse it with an error instead of handing back factors that panic
+// in a later Solve or FactorizeWith.
+func TestLoadRejectsInconsistentStructure(t *testing.T) {
+	a := GenGrid2D(6, 6, false, GenOptions{Seed: 34})
+	symMuts := map[string]func(sym *core.Symbolic){
+		"row permutation entry out of range":  func(sym *core.Symbolic) { sym.RowPerm[0] = 1 << 20 },
+		"column permutation repeats an entry": func(sym *core.Symbolic) { sym.ColPerm[0] = sym.ColPerm[1] },
+		"short row permutation":               func(sym *core.Symbolic) { sym.RowPerm = sym.RowPerm[:sym.N-1] },
+		"partition ends short of N":           func(sym *core.Symbolic) { sym.Partition.Start[sym.Partition.NB]-- },
+		"partition not rising":                func(sym *core.Symbolic) { sym.Partition.Start[1] = 0 },
+	}
+	factMuts := map[string]func(f *core.Factorization){
+		"short pivot sequence": func(f *core.Factorization) { f.Piv = f.Piv[:len(f.Piv)-1] },
+		"pivot out of range":   func(f *core.Factorization) { f.Piv[0] = 1 << 20 },
+		"negative pivot":       func(f *core.Factorization) { f.Piv[1] = -1 },
+	}
+	for name, mut := range symMuts {
+		factMuts[name] = func(f *core.Factorization) { mut(f.Sym) }
+	}
+	for name, mut := range factMuts {
+		f, err := Factorize(a, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(f.fact)
+		var buf bytes.Buffer
+		if err := f.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("Load accepted a factorization with %s", name)
+		}
+	}
+	for name, mut := range symMuts {
+		an, err := Analyze(a, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(an.sym)
+		var buf bytes.Buffer
+		if err := an.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadAnalysis(&buf); err == nil {
+			t.Errorf("LoadAnalysis accepted an analysis with %s", name)
+		}
+	}
 }

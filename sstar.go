@@ -344,21 +344,6 @@ const (
 	Map2DSync Mapping = "2d-sync"
 )
 
-// ParOptions configures a parallel factorization on the virtual machine.
-//
-// Deprecated: the split is folded into Options — set Options.Procs,
-// Options.Machine, Options.Mapping and Options.TraceParallel directly and
-// call Factorize.
-type ParOptions struct {
-	Options
-	Procs   int
-	Machine MachineName
-	Mapping Mapping
-	// Trace records per-processor task spans on the virtual timelines
-	// (Gantt-style observability; modeled times are unaffected).
-	Trace bool
-}
-
 // RunStats reports the modeled execution of a parallel factorization.
 type RunStats struct {
 	// ParallelTime is the modeled (virtual) wall-clock of the run in
@@ -386,28 +371,6 @@ func model(name MachineName) (machine.Model, error) {
 	default:
 		return machine.Model{}, fmt.Errorf("sstar: unknown machine %q", name)
 	}
-}
-
-// FactorizeParallel analyzes and factorizes a on the virtual distributed
-// machine, returning the factors (usable with Solve) plus run statistics.
-//
-// Deprecated: there is one factorize entrypoint — set Options.Procs (plus
-// Machine/Mapping/TraceParallel) and call Factorize; the modeled statistics
-// are available from Factorization.RunStats.
-func FactorizeParallel(a *Matrix, o ParOptions) (*Factorization, *RunStats, error) {
-	opts := o.Options
-	opts.Procs = o.Procs
-	if opts.Procs <= 0 {
-		opts.Procs = 1
-	}
-	opts.Machine = o.Machine
-	opts.Mapping = o.Mapping
-	opts.TraceParallel = o.Trace
-	f, err := Factorize(a, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.RunStats(), nil
 }
 
 // factorizeVirtual is the Options.Procs > 0 arm of Factorize: the full
