@@ -142,6 +142,14 @@ func TestSolveRejectsBadRHS(t *testing.T) {
 	if _, err := f.SolveMany(make([]float64, 23), 2); err == nil {
 		t.Fatal("short block rhs accepted by SolveMany")
 	}
+	// n*nrhs = 12 * 2^62 wraps around to 0 = len(nil): the length check
+	// must not be fooled into running a panel solve over an empty b.
+	if _, err := f.SolveMany(nil, 1<<62); err == nil {
+		t.Fatal("wrapping nrhs accepted by SolveMany")
+	}
+	if _, err := f.SolveManyExact(nil, 1<<62); err == nil {
+		t.Fatal("wrapping nrhs accepted by SolveManyExact")
+	}
 }
 
 func TestStructureKey(t *testing.T) {

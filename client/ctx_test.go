@@ -10,19 +10,22 @@ import (
 	"sstar"
 	"sstar/client"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
 // startSilentServer accepts connections and completes the protocol
-// handshake, then reads requests and never answers — the worst case a
-// deadline must cut through.
+// handshake, then reads one request per connection and never answers — the
+// worst case a deadline must cut through.
 func startSilentServer(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
+	silent := make(chan struct{})
+	t.Cleanup(func() {
+		l.Close()
+		close(silent)
+	})
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -31,20 +34,10 @@ func startSilentServer(t *testing.T) string {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				var hello server.Hello
-				if err := wire.ReadGob(conn, server.FrameHello, 1<<16, &hello); err != nil {
-					return
-				}
-				if err := wire.WriteGob(conn, server.FrameHello, server.Hello{Magic: server.ProtoMagic, Version: server.ProtoVersion}); err != nil {
-					return
-				}
-				// Swallow requests forever.
-				for {
-					req := new(server.Request)
-					if err := wire.ReadGob(conn, server.FrameRequest, 1<<30, req); err != nil {
-						return
-					}
-				}
+				server.ServeConn(conn, 0, func(*server.Request) *server.Response {
+					<-silent
+					return nil
+				})
 			}(conn)
 		}
 	}()

@@ -10,14 +10,13 @@ import (
 
 	"sstar"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
-// stubServer speaks the service protocol with scripted answers: handler is
-// called with the 0-based connection and request index and returns the
-// response, plus whether to drop the connection afterwards (or instead of
-// answering, when resp is nil). It exists to script failure sequences a real
-// server produces only under load or restarts.
+// stubServer speaks the service protocol (server.ServeConn) with scripted
+// answers: handler is called with the 0-based connection and request index
+// and returns the response, or drop to hang up instead of answering. It
+// exists to script failure sequences a real server produces only under load
+// or restarts.
 type stubServer struct {
 	l     net.Listener
 	conns atomic.Int64
@@ -39,28 +38,15 @@ func newStubServer(t *testing.T, handler func(conn, req int, r *server.Request) 
 			connID := int(st.conns.Add(1)) - 1
 			go func() {
 				defer c.Close()
-				var hello server.Hello
-				if err := wire.ReadGob(c, server.FrameHello, 1<<16, &hello); err != nil {
-					return
-				}
-				if err := wire.WriteGob(c, server.FrameHello, server.Hello{Magic: server.ProtoMagic, Version: server.ProtoVersion}); err != nil {
-					return
-				}
-				for reqID := 0; ; reqID++ {
-					req := new(server.Request)
-					if err := wire.ReadGob(c, server.FrameRequest, wire.DefaultMaxPayload, req); err != nil {
-						return
-					}
-					resp, drop := handler(connID, reqID, req)
-					if resp != nil {
-						if err := wire.WriteGob(c, server.FrameResponse, resp); err != nil {
-							return
-						}
-					}
+				reqID := 0
+				server.ServeConn(c, 0, func(r *server.Request) *server.Response {
+					resp, drop := handler(connID, reqID, r)
+					reqID++
 					if drop {
-						return
+						return nil
 					}
-				}
+					return resp
+				})
 			}()
 		}
 	}()

@@ -21,8 +21,8 @@ const solveManyPanel = 32
 // instead of re-running the BLAS-2 single-vector sweep per RHS.
 func (f *Factorization) SolveMany(b []float64, nrhs int) ([]float64, error) {
 	n := f.Sym.N
-	if len(b) != n*nrhs {
-		return nil, fmt.Errorf("core: SolveMany rhs length %d, want %d", len(b), n*nrhs)
+	if !panelFits(b, n, nrhs) {
+		return nil, fmt.Errorf("core: SolveMany rhs length %d, want n=%d x nrhs=%d", len(b), n, nrhs)
 	}
 	if nrhs == 1 {
 		// Single column: the vector sweep has less overhead (and keeps
@@ -38,6 +38,13 @@ func (f *Factorization) SolveMany(b []float64, nrhs int) ([]float64, error) {
 		f.solvePanel(b[j0*n:(j0+w)*n], x[j0*n:(j0+w)*n], w, ws)
 	}
 	return x, nil
+}
+
+// panelFits reports whether b holds exactly nrhs columns of length n. The
+// division bounds nrhs first: n*nrhs alone wraps around for a huge nrhs and
+// would accept a short b.
+func panelFits(b []float64, n, nrhs int) bool {
+	return nrhs >= 0 && nrhs <= len(b)/max(n, 1) && len(b) == n*nrhs
 }
 
 // solvePanelScratch holds the reusable buffers of one SolveMany call: the

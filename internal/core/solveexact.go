@@ -26,8 +26,8 @@ func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error)
 	if nrhs < 1 {
 		return nil, fmt.Errorf("core: SolveManyExact needs nrhs >= 1, got %d", nrhs)
 	}
-	if len(b) != n*nrhs {
-		return nil, fmt.Errorf("core: SolveManyExact rhs length %d, want %d", len(b), n*nrhs)
+	if !panelFits(b, n, nrhs) {
+		return nil, fmt.Errorf("core: SolveManyExact rhs length %d, want n=%d x nrhs=%d", len(b), n, nrhs)
 	}
 	if nrhs == 1 {
 		x := make([]float64, n)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -139,12 +140,12 @@ func (p *Pool) exchange(ctx context.Context, addr string, req *Request, usePool 
 		}
 		return nil, true, pooled, fmt.Errorf("rpc: %s %s: %w", op, addr, err)
 	}
-	if err := wire.WriteGob(conn, FrameRequest, req); err != nil {
+	if err := WriteRequest(conn, req); err != nil {
 		// Kernel buffering makes a partial write's delivery unknowable.
 		return failed("send to", err)
 	}
-	resp := new(Response)
-	if err := wire.ReadGob(conn, FrameResponse, p.maxFrame, resp); err != nil {
+	resp, err := ReadResponse(conn, p.maxFrame)
+	if err != nil {
 		return failed("receive from", err)
 	}
 	if stop() {
@@ -243,11 +244,11 @@ func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 
 // handshake is the dialing side of the Hello exchange.
 func handshake(conn net.Conn) error {
-	if err := wire.WriteGob(conn, FrameHello, Hello{Magic: ProtoMagic, Version: ProtoVersion}); err != nil {
+	if err := writeHello(conn); err != nil {
 		return err
 	}
-	var hello Hello
-	if err := wire.ReadGob(conn, FrameHello, helloLimit, &hello); err != nil {
+	hello, err := readHello(conn)
+	if err != nil {
 		return err
 	}
 	if hello.Magic != ProtoMagic || hello.Version != ProtoVersion {
@@ -276,32 +277,35 @@ func (p *Pool) Close() {
 // frame, in order, until the peer hangs up, a frame is corrupt or exceeds
 // maxFrame, or handle returns nil (which drops the connection). A peer
 // speaking another protocol gets an in-band refusal. The returned error
-// reports a failed handshake; the end of the request loop is not an error.
-// ServeConn does not close conn.
+// reports a failed handshake or a response the codec refused to encode; the
+// end of the request loop is not an error. ServeConn does not close conn.
 func ServeConn(conn net.Conn, maxFrame int, handle func(*Request) *Response) error {
-	var hello Hello
-	if err := wire.ReadGob(conn, FrameHello, helloLimit, &hello); err != nil {
+	hello, err := readHello(conn)
+	if err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	if hello.Magic != ProtoMagic || hello.Version != ProtoVersion {
 		err := fmt.Errorf("unsupported protocol %q v%d", hello.Magic, hello.Version)
 		// Best effort: the connection is dropped whether or not this lands.
-		_ = wire.WriteGob(conn, FrameResponse, &Response{Err: "server: " + err.Error()})
+		_ = WriteResponse(conn, nil, &Response{Err: "server: " + err.Error()})
 		return err
 	}
-	if err := wire.WriteGob(conn, FrameHello, Hello{Magic: ProtoMagic, Version: ProtoVersion}); err != nil {
+	if err := writeHello(conn); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	for {
-		req := new(Request)
-		if err := wire.ReadGob(conn, FrameRequest, maxFrame, req); err != nil {
+		req, err := ReadRequest(conn, maxFrame)
+		if err != nil {
 			return nil // io.EOF here is the clean "peer hung up" path
 		}
 		resp := handle(req)
 		if resp == nil {
 			return nil
 		}
-		if err := wire.WriteGob(conn, FrameResponse, resp); err != nil {
+		if err := WriteResponse(conn, req, resp); err != nil {
+			if errors.Is(err, errLayout) {
+				return err
+			}
 			return nil
 		}
 	}

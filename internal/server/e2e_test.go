@@ -242,24 +242,30 @@ func TestCorruptFrameDropsOnlyThatConnection(t *testing.T) {
 	}
 }
 
-// TestWrongProtocolHello proves version/magic mismatches are rejected
-// in-band without killing the listener.
+// TestWrongProtocolHello proves version/magic mismatches — including a peer
+// speaking protocol v1, the all-gob encoding — are rejected in-band without
+// killing the listener.
 func TestWrongProtocolHello(t *testing.T) {
 	addr := startServer(t, server.Config{Workers: 1})
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if err := wire.WriteGob(raw, server.FrameHello, server.Hello{Magic: "not-sstar", Version: 0}); err != nil {
-		t.Fatal(err)
-	}
-	var resp server.Response
-	if err := wire.ReadGob(raw, server.FrameResponse, 1<<16, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Fatal("bad hello accepted")
+	for _, hello := range []server.Hello{
+		{Magic: "not-sstar", Version: 0},
+		{Magic: server.ProtoMagic, Version: 1},
+	} {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if err := wire.WriteGob(raw, server.FrameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := server.ReadResponse(raw, 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err == "" {
+			t.Fatalf("hello %+v accepted", hello)
+		}
 	}
 	c, err := client.Dial("tcp", addr)
 	if err != nil {

@@ -19,13 +19,16 @@ var fuzzServer = sync.OnceValue(func() *Server {
 })
 
 // FuzzRequestDecode drives hostile byte streams through the exact path a
-// connection uses — frame decode, gob decode, then request execution — and
-// requires the server side to survive every one: decode errors and in-band
-// error responses are fine, a process-killing panic is not. (process recovers
+// connection uses — ReadRequest (frame decode, then the gob or hot-layout
+// decoder its frame type names), then request execution — and requires the
+// server side to survive every one: decode errors and in-band error
+// responses are fine, a process-killing panic is not. (process recovers
 // panics by contract; the fuzzer proves the recovery really holds the line.)
+// An accepted hot frame must re-encode to the bytes it was read from.
 func FuzzRequestDecode(f *testing.F) {
 	// Seed with well-formed requests of every op so the fuzzer starts from
-	// deep inside the accepted grammar rather than random noise.
+	// deep inside the accepted grammar rather than random noise. The gob
+	// seeds carrying hot ops exercise the refusal of a hot op in a gob frame.
 	a := sstar.GenGrid2D(4, 4, false, sstar.GenOptions{Seed: 3})
 	seeds := []*Request{
 		{Op: OpPing},
@@ -49,14 +52,34 @@ func FuzzRequestDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	for _, req := range hotRequests() {
+		var buf bytes.Buffer
+		if err := WriteRequest(&buf, req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, frame := range malformedHotFrames() {
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{FrameRequest, 0, 0, 0, 4, 0, 0, 0, 0, 1, 2, 3, 4})
 
 	s := fuzzServer()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req := new(Request)
-		if err := wire.ReadGob(bytes.NewReader(data), FrameRequest, 1<<20, req); err != nil {
+		r := bytes.NewReader(data)
+		req, err := ReadRequest(r, 1<<20)
+		if err != nil {
 			return // rejected at the wire: exactly what hostile bytes should get
+		}
+		if data[0] == FrameHotRequest {
+			var buf bytes.Buffer
+			if err := WriteRequest(&buf, req); err != nil {
+				t.Fatalf("accepted hot request does not re-encode: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[:len(data)-r.Len()]) {
+				t.Fatal("accepted hot request re-encodes to different bytes")
+			}
 		}
 		// The cluster extension decodes the same frame on shards: hostile Key
 		// and Blob fields must be as survivable as the rest.
@@ -80,10 +103,11 @@ func FuzzRequestDecode(f *testing.F) {
 }
 
 // FuzzRedirectDecode drives hostile bytes through the response-decode path a
-// client (and the router, following redirects between shards) runs: frame
-// decode, gob decode, then the typed-error classification that redirect
-// following branches on. Decode errors are fine; a panic, or a classification
-// that disagrees with the code-to-sentinel mapping, is not.
+// client (and the router, following redirects between shards) runs:
+// ReadResponse, then the typed-error classification that redirect following
+// branches on. Decode errors are fine; a panic, a classification that
+// disagrees with the code-to-sentinel mapping, or an accepted hot frame that
+// re-encodes to different bytes is not.
 func FuzzRedirectDecode(f *testing.F) {
 	seeds := []*Response{
 		{Code: CodeRedirect, Addr: "127.0.0.1:7072", Key: 0xdeadbeef, Err: "redirect: structure 0xdeadbeef is placed on 127.0.0.1:7072"},
@@ -100,15 +124,36 @@ func FuzzRedirectDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	solve := &Request{Op: OpSolve}
+	for _, resp := range hotResponses() {
+		var buf bytes.Buffer
+		if err := WriteResponse(&buf, solve, resp); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, frame := range malformedHotFrames() {
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{FrameResponse, 0, 0, 0, 2, 0, 0, 0, 0, 9, 9})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp := new(Response)
-		if err := wire.ReadGob(bytes.NewReader(data), FrameResponse, 1<<20, resp); err != nil {
+		r := bytes.NewReader(data)
+		resp, err := ReadResponse(r, 1<<20)
+		if err != nil {
 			return
 		}
-		err := resp.Error()
+		if data[0] == FrameHotResponse {
+			var buf bytes.Buffer
+			if err := WriteResponse(&buf, solve, resp); err != nil {
+				t.Fatalf("accepted hot response does not re-encode: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[:len(data)-r.Len()]) {
+				t.Fatal("accepted hot response re-encodes to different bytes")
+			}
+		}
+		err = resp.Error()
 		if resp.Err == "" {
 			if err != nil {
 				t.Fatalf("success response produced error %v", err)
@@ -160,8 +205,8 @@ func FuzzMembershipDecode(f *testing.F) {
 
 	s := fuzzServer()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req := new(Request)
-		if err := wire.ReadGob(bytes.NewReader(data), FrameRequest, 1<<20, req); err != nil {
+		req, err := ReadRequest(bytes.NewReader(data), 1<<20)
+		if err != nil {
 			return
 		}
 		if req.Op != OpMembership && req.Op != OpManifest {

@@ -1,7 +1,6 @@
 // Package server implements the sparse-solve service: a long-running server
 // that factorizes and solves client-submitted systems over a length-prefixed
-// binary protocol (internal/wire frames carrying gob messages) on TCP or
-// Unix sockets.
+// binary protocol (internal/wire frames) on TCP or Unix sockets.
 //
 // The serving model follows the paper's central property: the George–Ng
 // static symbolic analysis is valid for *any* pivot sequence, hence for any
@@ -13,7 +12,10 @@
 //
 // Protocol: after connecting, the client sends a Hello frame and the server
 // answers with its own. From then on the client sends Request frames and
-// reads one Response frame per request, in order. All payloads are gob.
+// reads one Response frame per request, in order. Solves, multi-RHS solves
+// and values-only refactorizes, and their responses, travel in a fixed
+// binary layout of scalars and raw float64 slabs; every other message is
+// gob. codec.go holds the rule and both layouts.
 package server
 
 import (
@@ -23,16 +25,22 @@ import (
 )
 
 // Protocol identification, exchanged in the Hello frame of each side.
+// Version 2 introduced the binary hot-path layout; a peer speaking any other
+// version is refused at the handshake.
 const (
 	ProtoMagic   = "sstar-rpc"
-	ProtoVersion = 1
+	ProtoVersion = 2
 )
 
-// Frame type bytes of the service protocol.
+// Frame type bytes of the service protocol. FrameRequest and FrameResponse
+// carry gob; FrameHotRequest and FrameHotResponse carry the hot-path binary
+// layout (see codec.go).
 const (
-	FrameHello    byte = 0x01
-	FrameRequest  byte = 0x02
-	FrameResponse byte = 0x03
+	FrameHello       byte = 0x01
+	FrameRequest     byte = 0x02
+	FrameResponse    byte = 0x03
+	FrameHotRequest  byte = 0x04
+	FrameHotResponse byte = 0x05
 )
 
 // Hello opens a connection in both directions.
@@ -137,7 +145,10 @@ func (o Op) String() string {
 }
 
 // Request is the client-to-server message. Which fields are meaningful
-// depends on Op; unused fields stay zero and cost nothing on the wire.
+// depends on Op; unused fields stay zero and cost nothing on the wire. A
+// hot request (see codec.go) may set only Op, Handle, Key, TimeoutNs, NRHS,
+// Tenant, B and Values: the encoder refuses any other field, and a new field
+// a hot op needs means a layout change and a ProtoVersion bump.
 type Request struct {
 	Op Op
 
@@ -184,15 +195,12 @@ type Request struct {
 	Blob []byte
 
 	// Tenant names the requester for the server's weighted fair scheduler
-	// and per-tenant accounting. An additive gob field: requests from
-	// clients that predate it decode with Tenant empty and are admitted
-	// under DefaultTenant. Purely a QoS identity — it never changes what a
-	// request computes.
+	// and per-tenant accounting. Empty is admitted under DefaultTenant.
+	// Purely a QoS identity — it never changes what a request computes.
 	Tenant string
 
 	// Epoch and Members carry the sender's membership view on
-	// OpMembership. Additive gob fields: peers that predate them decode
-	// zero values, which merge as "no information".
+	// OpMembership. Zero values merge as "no information".
 	Epoch   uint64
 	Members []string
 
@@ -231,7 +239,7 @@ const DefaultTenant = "default"
 
 // RequestStats is the per-request cost split the server reports with every
 // response: where the time went and whether the analysis cache served the
-// structure.
+// structure. Every field is part of the hot response layout (codec.go).
 type RequestStats struct {
 	// QueueNs is the time the request waited for a worker.
 	QueueNs int64
@@ -322,8 +330,7 @@ type ServerStats struct {
 	CoalescedSolves int64
 	SolveBatches    int64
 	// Tenants is the per-tenant counter breakdown, keyed by tenant name
-	// (DefaultTenant for requests that carried none). Additive gob field:
-	// old clients decode snapshots without it unchanged.
+	// (DefaultTenant for requests that carried none).
 	Tenants map[string]TenantStats
 
 	// Cluster fields — zero on a standalone server. On a shard they
@@ -511,10 +518,9 @@ func (e *RemoteError) Is(target error) bool {
 }
 
 // Response is the server-to-client message. A non-empty Err means the
-// request failed; every other field is op-dependent. The cluster fields
-// (Addr, Replica, Key) are additive gob fields, so v2-frame clients that
-// predate them decode responses unchanged — backward compatibility is what
-// lets a mixed fleet upgrade shard by shard.
+// request failed; every other field is op-dependent. The response to a hot
+// request (see codec.go) may set only Code, Err, Addr, Epoch, Handle, N,
+// Nnz, Key, Stats and X: the encoder refuses any other field.
 type Response struct {
 	Err    string
 	Code   Code         // failure class of Err (CodeNone for legacy/uncategorized errors)
@@ -542,7 +548,7 @@ type Response struct {
 	// answers and on redirect refusals (CodeRedirect/CodeNotOwner) so
 	// routers and clients can tell a placement disagreement caused by a
 	// membership change from a genuine misroute — and refresh their ring
-	// instead of failing over blindly. Additive gob field.
+	// instead of failing over blindly.
 	Epoch uint64
 	// Members is the responder's member list on OpMembership.
 	Members []string

@@ -729,8 +729,9 @@ func (s *Server) doSolveMany(req *Request) *Response {
 	if req.NRHS < 1 {
 		return &Response{Err: fmt.Sprintf("server: solve-many needs nrhs >= 1, got %d", req.NRHS)}
 	}
-	if len(req.B) != h.n*req.NRHS {
-		return &Response{Err: fmt.Sprintf("server: solve-many rhs length %d, want %d (n=%d x nrhs=%d)", len(req.B), h.n*req.NRHS, h.n, req.NRHS)}
+	// Division first: h.n*req.NRHS wraps around for a huge NRHS.
+	if req.NRHS > len(req.B)/h.n || len(req.B) != h.n*req.NRHS {
+		return &Response{Err: fmt.Sprintf("server: solve-many rhs length %d, want n=%d x nrhs=%d", len(req.B), h.n, req.NRHS)}
 	}
 	var stats RequestStats
 	t0 := time.Now()

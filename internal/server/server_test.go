@@ -110,6 +110,8 @@ func TestBadInputNeverKillsServer(t *testing.T) {
 		{"solve unknown handle", &Request{Op: OpSolve, Handle: 999, B: make([]float64, 36)}, "unknown handle"},
 		{"solve nil rhs", &Request{Op: OpSolve, Handle: h}, "rhs length"},
 		{"solve short rhs", &Request{Op: OpSolve, Handle: h, B: make([]float64, 3)}, "rhs length"},
+		// 36 * 2^62 wraps around to 0 = len(nil).
+		{"solve-many wrapping nrhs", &Request{Op: OpSolveMany, Handle: h, NRHS: 1 << 62}, "rhs length"},
 		{"refactorize unknown handle", &Request{Op: OpRefactorize, Handle: 999, Values: nil}, "unknown handle"},
 		{"refactorize short values", &Request{Op: OpRefactorize, Handle: h, Values: make([]float64, 3)}, "values length"},
 		{"refactorize wrong pattern", &Request{Op: OpRefactorize, Handle: h, Matrix: sstar.GenGrid2D(6, 6, true, sstar.GenOptions{Seed: 2})}, "pattern mismatch"},

@@ -6,7 +6,12 @@
 //	byte 0      frame type
 //	bytes 1-4   payload length, big-endian uint32
 //	bytes 5-8   CRC-32 (IEEE) of the payload, big-endian uint32
-//	bytes 9-    payload (a gob-encoded message for every current user)
+//	bytes 9-    payload
+//
+// The payload is opaque to this package. The serializer and the service's
+// control-plane messages put a gob-encoded value there (WriteGob/ReadGob);
+// the service's hot-path messages use a fixed binary layout of their own
+// (internal/server/codec.go).
 //
 // The explicit length bounds the allocation a reader performs before any
 // payload byte is trusted, and the checksum turns every corruption — a
@@ -23,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 )
 
 // DefaultMaxPayload caps a frame payload when the caller does not supply a
@@ -39,20 +45,20 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds payload limit")
 // ErrChecksum reports a payload whose CRC-32 does not match its header.
 var ErrChecksum = errors.New("wire: frame checksum mismatch")
 
-// WriteFrame writes one frame with the given type byte and payload.
+// WriteFrame writes one frame with the given type byte and payload. Header
+// and payload go out in one net.Buffers write: one writev system call on a
+// socket, so a small frame leaves as one segment, not two.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > DefaultMaxPayload {
 		return ErrFrameTooLarge
 	}
-	var hdr [headerSize]byte
+	hdr := make([]byte, headerSize)
 	hdr[0] = typ
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: write frame payload: %w", err)
+	bufs := net.Buffers{hdr, payload}
+	if _, err := bufs.WriteTo(w); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
@@ -66,14 +72,13 @@ func ReadFrame(r io.Reader, maxPayload int) (typ byte, payload []byte, err error
 		maxPayload = DefaultMaxPayload
 	}
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	// ReadFull reports io.EOF only when no byte arrived at all; a header cut
+	// short comes back as io.ErrUnexpectedEOF.
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("wire: read frame type: %w", err)
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return 0, nil, fmt.Errorf("wire: read frame header: %w", noEOF(err))
+		return 0, nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[1:5])
 	if int64(n) > int64(maxPayload) {

@@ -36,9 +36,10 @@ go test -race -count=1 -run 'TestClusterChaosFailover' -timeout 600s ./internal/
 # refactorizing.
 make cluster-churn
 
-# Fuzz smoke: the frame codec and the request decoder face the raw network
-# and must never panic; a few seconds of fuzzing guards the invariant
-# without stalling CI (longer runs: make fuzz).
+# Fuzz smoke: the frame codec and the request/response decoders (gob and the
+# hot-path binary layout, through ReadRequest/ReadResponse) face the raw
+# network and must never panic; a few seconds of fuzzing guards the
+# invariant without stalling CI (longer runs: make fuzz).
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz='^FuzzRequestDecode$' -fuzztime=5s ./internal/server
 go test -run='^$' -fuzz='^FuzzRedirectDecode$' -fuzztime=5s ./internal/server

@@ -25,3 +25,8 @@ go test ./...
 # client shares the cluster's connection pool (internal/server/conn.go), so
 # it runs under the race detector too.
 go test -race ./client ./internal/cluster ./internal/symbolic ./internal/supernode
+
+# The protocol codec (internal/server/codec.go) and the connection pool
+# carry every exchange of the client, the router and shard RPC; their tests
+# and the handshake refusal run under the race detector on every commit.
+go test -race -run 'Codec|Pool|WrongProtocol' ./internal/server
