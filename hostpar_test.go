@@ -1,6 +1,9 @@
 package sstar
 
 import (
+	"errors"
+	"math"
+	"sync"
 	"testing"
 )
 
@@ -116,5 +119,85 @@ func TestStructureKeyIgnoresHostWorkers(t *testing.T) {
 	o.BlockSize = base.BlockSize + 5
 	if StructureKey(a, o) == k0 {
 		t.Fatal("BlockSize change did not change the structure key")
+	}
+}
+
+// TestFailedRefactorizeKeepsFactors: a Refactorize that fails on numerically
+// singular values must leave the handle's previous factors in force — every
+// numeric factorization assembles into a fresh slab, never into the live
+// one — so the next Solve returns the pre-failure answer bit for bit.
+func TestFailedRefactorizeKeepsFactors(t *testing.T) {
+	a := GenCircuit(300, 4, GenOptions{Seed: 85, Convection: 0.4})
+	b := rhs(a.N, 86)
+	for _, w := range []int{1, 2} {
+		o := DefaultOptions()
+		o.HostWorkers = w
+		f, err := Factorize(a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Same pattern, column 7 all zero: structurally fine, numerically
+		// singular.
+		bad := a.Clone()
+		for i := 0; i < bad.N; i++ {
+			cols, vals := bad.Row(i)
+			for p, c := range cols {
+				if c == 7 {
+					vals[p] = 0
+				}
+			}
+		}
+		if err := f.Refactorize(bad); !errors.Is(err, ErrSingular) {
+			t.Fatalf("HostWorkers=%d: Refactorize of singular values returned %v, want ErrSingular", w, err)
+		}
+		got, err := f.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("HostWorkers=%d: solve after failed Refactorize differs at %d: %v vs %v", w, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestConcurrentFirstFactorizeWith: goroutines sharing one fresh Analysis
+// race to its first numeric factorization, which builds the factor layout.
+// Every result must be bit-identical to the sequential factorization.
+func TestConcurrentFirstFactorizeWith(t *testing.T) {
+	a := GenGrid2D(16, 15, false, GenOptions{Seed: 87, Convection: 0.5})
+	seq, err := Factorize(a, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		o := DefaultOptions()
+		o.HostWorkers = w
+		an, err := Analyze(a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		facts := make([]*Factorization, 8)
+		errs := make([]error, len(facts))
+		var wg sync.WaitGroup
+		for g := range facts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				facts[g], errs[g] = an.FactorizeWith(a)
+			}()
+		}
+		wg.Wait()
+		for g, f := range facts {
+			if errs[g] != nil {
+				t.Fatalf("HostWorkers=%d goroutine %d: %v", w, g, errs[g])
+			}
+			factsBitIdentical(t, "concurrent first FactorizeWith vs sequential", seq, f)
+		}
 	}
 }

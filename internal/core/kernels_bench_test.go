@@ -17,7 +17,7 @@ func densePanel(s int) (*supernode.BlockMatrix, *Workspace, []int32, []float64, 
 		SkipOrdering: true,
 		Supernode:    supernode.Options{MaxBlock: s},
 	})
-	bm := supernode.NewBlockMatrix(sym.Partition, sym.PermutedMatrix(a))
+	bm := sym.Assemble(a)
 	ws := NewWorkspace(bm)
 	piv := make([]int32, 2*s)
 	diag0 := append([]float64(nil), bm.Diag[0].Data...)
@@ -60,7 +60,7 @@ func BenchmarkUpdateBlockAligned(b *testing.B) {
 				SkipOrdering: true,
 				Supernode:    supernode.Options{MaxBlock: s},
 			})
-			bm := supernode.NewBlockMatrix(sym.Partition, sym.PermutedMatrix(a))
+			bm := sym.Assemble(a)
 			ws := NewWorkspace(bm)
 			lb := bm.BlockAt(2, 0)
 			ub := bm.BlockAt(0, 2)
@@ -84,7 +84,7 @@ func BenchmarkUpdateBlockScatter(b *testing.B) {
 	sym := Analyze(a, AnalyzeOptions{
 		Supernode: supernode.Options{MaxBlock: 25, Amalgamate: 4},
 	})
-	bm := supernode.NewBlockMatrix(sym.Partition, sym.PermutedMatrix(a))
+	bm := sym.Assemble(a)
 	ws := NewWorkspace(bm)
 	var lb, ub *supernode.Block
 	best := int64(0)

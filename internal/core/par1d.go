@@ -92,8 +92,7 @@ func panelBytes(p *supernode.Partition, k int) int {
 // broadcasts are the only communication, exactly as in the paper's 1D codes.
 func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Schedule, opts ...RunOption) (*ParResult, error) {
 	cfg := applyRunOptions(opts)
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
+	bm := sym.Assemble(a)
 	p := sym.Partition
 	g := taskgraph.Build(p)
 	piv := make([]int32, sym.N)

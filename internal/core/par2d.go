@@ -97,8 +97,7 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 		return nil, err
 	}
 	cfg := applyRunOptions(opts)
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
+	bm := sym.Assemble(a)
 	p := sym.Partition
 	nproc := pr * pc
 	mach := machine.New(nproc, model)

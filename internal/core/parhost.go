@@ -67,8 +67,7 @@ func factorizeHostObs(a *sparse.CSR, sym *Symbolic, workers int, sink obs.Sink) 
 	if workers <= 1 {
 		return factorizeSeqObs(a, sym, sink)
 	}
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
+	bm := sym.Assemble(a)
 	piv := make([]int32, sym.N)
 	g := taskgraph.Build(sym.Partition)
 	if workers > len(g.Tasks) {

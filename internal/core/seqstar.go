@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"sstar/internal/obs"
@@ -32,6 +33,13 @@ type Symbolic struct {
 	// Phases is the analyze-phase cost split, recorded once at
 	// construction.
 	Phases PhaseTimes
+
+	// layout is the factor storage plan with the value-scatter map of the
+	// analyzed pattern, built by the first numeric factorization and
+	// reused by every later one. layoutOnce makes that first build safe
+	// when concurrent factorizations share one Symbolic.
+	layoutOnce sync.Once
+	layout     *supernode.Layout
 }
 
 // pivotTol normalizes the threshold.
@@ -150,9 +158,22 @@ func composePerm(p, q []int) []int {
 }
 
 // PermutedMatrix returns P_r A P_c^T, the matrix the numeric factorization
-// actually works on.
+// actually works on. The numeric drivers never build it (see Assemble); it
+// serves the callers that need the permuted CSR itself.
 func (s *Symbolic) PermutedMatrix(a *sparse.CSR) *sparse.CSR {
 	return a.Permute(s.RowPerm, s.ColPerm)
+}
+
+// Assemble returns a fresh block matrix holding P_r A P_c^T in the static
+// block structure: one zeroed slab and one gather of a's values. The first
+// call builds the layout and its scatter map from a's pattern; a, and every
+// matrix factorized with s after it, must have the nonzero pattern s was
+// analyzed from.
+func (s *Symbolic) Assemble(a *sparse.CSR) *supernode.BlockMatrix {
+	s.layoutOnce.Do(func() {
+		s.layout = supernode.NewMatrixLayout(s.Partition, a, s.RowPerm, s.ColPerm)
+	})
+	return s.layout.Assemble(a)
 }
 
 // Factorization is the numeric result: the block matrix holds L (unit
@@ -178,8 +199,7 @@ func FactorizeSeq(a *sparse.CSR, sym *Symbolic) (*Factorization, error) {
 // instrumentation only changes when clocks are read, never the numeric
 // work, so traced and untraced factors are bit-identical.
 func factorizeSeqObs(a *sparse.CSR, sym *Symbolic, sink obs.Sink) (*Factorization, error) {
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
+	bm := sym.Assemble(a)
 	ws := NewWorkspace(bm)
 	piv := make([]int32, sym.N)
 	p := sym.Partition

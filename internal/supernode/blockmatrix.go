@@ -1,14 +1,13 @@
 package supernode
 
-import (
-	"fmt"
-
-	"sstar/internal/sparse"
-)
-
 // Block is one submatrix of the 2D L/U partition, stored as a packed dense
 // matrix: Rows and Cols list the global indices present (sorted), Data holds
 // the len(Rows) x len(Cols) values row-major.
+//
+// Rows and Cols are shared and read-only: they alias the partition's LRows
+// and UCols (or, for diagonal blocks, one index range shared by every block
+// of the layout), so writing through them corrupts the analysis. Data is a
+// window of the factorization's slab.
 //
 // Layout by region:
 //   - diagonal blocks (I == J): full dense (all rows and columns of the block);
@@ -78,9 +77,12 @@ func searchInt32(xs []int32, v int32) int {
 }
 
 // BlockMatrix is the partitioned working matrix: diagonal blocks plus sparse
-// collections of L and U off-diagonal blocks, all allocated up front from the
-// static structure (nothing is ever reallocated during factorization — the
-// whole point of the S* design).
+// collections of L and U off-diagonal blocks. Its storage follows the
+// partition's Layout: all block values live in one contiguous slab allocated
+// per numeric factorization, and the blocks' index lists alias the
+// partition's LRows/UCols (shared and read-only). The block set never changes
+// during factorization — the point of the S* design — and a fresh slab per
+// factorization keeps earlier factors intact when a later one fails.
 type BlockMatrix struct {
 	P    *Partition
 	Diag []*Block
@@ -88,79 +90,6 @@ type BlockMatrix struct {
 	LCol [][]*Block
 	// URow[k] holds the U blocks of block row k, sorted by block column.
 	URow [][]*Block
-}
-
-// NewBlockMatrix allocates every block of the static 2D structure and
-// scatters the values of a into it. Positions of a outside the static
-// structure cause a panic (they cannot exist if the same matrix produced the
-// partition).
-func NewBlockMatrix(p *Partition, a *sparse.CSR) *BlockMatrix {
-	if a.N != p.N || a.M != p.N {
-		panic("supernode: matrix/partition size mismatch")
-	}
-	bm := &BlockMatrix{
-		P:    p,
-		Diag: make([]*Block, p.NB),
-		LCol: make([][]*Block, p.NB),
-		URow: make([][]*Block, p.NB),
-	}
-	for b := 0; b < p.NB; b++ {
-		s := p.Size(b)
-		d := &Block{I: b, J: b, Rows: rangeInt32(p.Start[b], p.Start[b+1]), Cols: rangeInt32(p.Start[b], p.Start[b+1])}
-		d.Data = make([]float64, s*s)
-		bm.Diag[b] = d
-		// L blocks of column b: group LRows[b] by row block.
-		for lo := 0; lo < len(p.LRows[b]); {
-			rb := p.BlockOf[p.LRows[b][lo]]
-			hi := lo
-			for hi < len(p.LRows[b]) && p.BlockOf[p.LRows[b][hi]] == rb {
-				hi++
-			}
-			blk := &Block{
-				I:    rb,
-				J:    b,
-				Rows: append([]int32(nil), p.LRows[b][lo:hi]...),
-				Cols: d.Cols,
-			}
-			blk.Data = make([]float64, len(blk.Rows)*s)
-			bm.LCol[b] = append(bm.LCol[b], blk)
-			lo = hi
-		}
-		// U blocks of row b: group UCols[b] by column block.
-		for lo := 0; lo < len(p.UCols[b]); {
-			cb := p.BlockOf[p.UCols[b][lo]]
-			hi := lo
-			for hi < len(p.UCols[b]) && p.BlockOf[p.UCols[b][hi]] == cb {
-				hi++
-			}
-			blk := &Block{
-				I:    b,
-				J:    cb,
-				Rows: d.Rows,
-				Cols: append([]int32(nil), p.UCols[b][lo:hi]...),
-			}
-			blk.Data = make([]float64, s*len(blk.Cols))
-			bm.URow[b] = append(bm.URow[b], blk)
-			lo = hi
-		}
-	}
-	// Scatter the original values.
-	for i := 0; i < a.N; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			blk := bm.BlockAt(p.BlockOf[i], p.BlockOf[j])
-			if blk == nil {
-				panic(fmt.Sprintf("supernode: entry (%d,%d) outside static block structure", i, j))
-			}
-			r := blk.RowPos(i)
-			c := blk.ColPos(j)
-			if r < 0 || c < 0 {
-				panic(fmt.Sprintf("supernode: entry (%d,%d) outside block (%d,%d) packing", i, j, blk.I, blk.J))
-			}
-			blk.Data[r*len(blk.Cols)+c] = vals[k]
-		}
-	}
-	return bm
 }
 
 // BlockAt returns the block at block coordinates (i, j), or nil when the
@@ -237,12 +166,4 @@ func (bm *BlockMatrix) StorageEntries() int64 {
 		}
 	}
 	return total
-}
-
-func rangeInt32(lo, hi int) []int32 {
-	out := make([]int32, hi-lo)
-	for i := range out {
-		out[i] = int32(lo + i)
-	}
-	return out
 }

@@ -7,6 +7,7 @@
 package supernode
 
 import (
+	"fmt"
 	"time"
 
 	"sstar/internal/symbolic"
@@ -104,6 +105,58 @@ type Choice struct {
 
 // Size returns the number of columns of block b.
 func (p *Partition) Size(b int) int { return p.Start[b+1] - p.Start[b] }
+
+// Check reports whether p is well formed, the precondition of NewLayout and
+// of every numeric driver: blocks rise strictly from 0 to N, BlockOf agrees
+// with Start, every LRows/UCols list is sorted, duplicate-free and lies below
+// or right of its block, and LBlocks/UBlocks are the block images of those
+// lists. It is how a decoded partition is admitted; the partitions this
+// package builds always pass.
+func (p *Partition) Check() error {
+	if p.NB < 1 || len(p.Start) != p.NB+1 || p.Start[0] != 0 || p.Start[p.NB] != p.N {
+		return fmt.Errorf("supernode: block partition does not span 0..%d", p.N)
+	}
+	for b := 0; b < p.NB; b++ {
+		if p.Start[b+1] <= p.Start[b] {
+			return fmt.Errorf("supernode: empty or reversed block %d", b)
+		}
+	}
+	if len(p.BlockOf) != p.N || len(p.LRows) != p.NB || len(p.UCols) != p.NB ||
+		len(p.LBlocks) != p.NB || len(p.UBlocks) != p.NB {
+		return fmt.Errorf("supernode: partition tables do not match its %d blocks of order %d", p.NB, p.N)
+	}
+	for b := 0; b < p.NB; b++ {
+		for c := p.Start[b]; c < p.Start[b+1]; c++ {
+			if p.BlockOf[c] != b {
+				return fmt.Errorf("supernode: BlockOf[%d] = %d, want %d", c, p.BlockOf[c], b)
+			}
+		}
+	}
+	for b := 0; b < p.NB; b++ {
+		for _, l := range []struct {
+			name        string
+			idx, blocks []int32
+		}{{"L rows", p.LRows[b], p.LBlocks[b]}, {"U columns", p.UCols[b], p.UBlocks[b]}} {
+			prev := int32(p.Start[b+1]) - 1
+			for _, x := range l.idx {
+				if x <= prev || int(x) >= p.N {
+					return fmt.Errorf("supernode: %s of block %d are unsorted or out of range", l.name, b)
+				}
+				prev = x
+			}
+			img := p.blocksOf(l.idx)
+			if len(img) != len(l.blocks) {
+				return fmt.Errorf("supernode: %s of block %d disagree with its block list", l.name, b)
+			}
+			for t := range img {
+				if img[t] != l.blocks[t] {
+					return fmt.Errorf("supernode: %s of block %d disagree with its block list", l.name, b)
+				}
+			}
+		}
+	}
+	return nil
+}
 
 // EliminationForest returns the supernodal elimination forest of the
 // partition: parent[k] is the block containing the first row below block k

@@ -152,12 +152,19 @@ func equalInt32(a, b []int32) bool {
 	return true
 }
 
+// assemble builds the block matrix of a, analyzed in its own order, through
+// the layout.
+func assemble(p *Partition, a *sparse.CSR) *BlockMatrix {
+	id := sparse.IdentityPerm(a.N)
+	return NewMatrixLayout(p, a, id, id).Assemble(a)
+}
+
 func TestBlockMatrixReproducesValues(t *testing.T) {
 	a := sparse.Circuit(70, 3, sparse.GenOptions{Seed: 7, StructuralDrop: 0.15})
 	st := symbolic.Factorize(sparse.PatternOf(a))
 	for _, r := range []int{0, 4} {
 		p := NewPartition(st, Options{MaxBlock: 7, Amalgamate: r})
-		bm := NewBlockMatrix(p, a)
+		bm := assemble(p, a)
 		for i := 0; i < a.N; i++ {
 			cols, vals := a.Row(i)
 			for k, j := range cols {
@@ -180,7 +187,7 @@ func TestBlockMatrixStorageAtLeastStatic(t *testing.T) {
 		a := sparse.RandomSparse(n, 1+rng.Intn(3), seed)
 		st := symbolic.Factorize(sparse.PatternOf(a))
 		p := NewPartition(st, Options{MaxBlock: 1 + rng.Intn(10), Amalgamate: rng.Intn(6)})
-		bm := NewBlockMatrix(p, a)
+		bm := assemble(p, a)
 		// Storage includes every static entry (plus padding zeros).
 		return bm.StorageEntries() >= int64(st.NnzTotal())
 	}
@@ -195,7 +202,7 @@ func TestBlockMatrixStrictStorageExact(t *testing.T) {
 	a := sparse.RandomSparse(40, 2, 9)
 	st := symbolic.Factorize(sparse.PatternOf(a))
 	p := NewPartition(st, Options{MaxBlock: 1, Amalgamate: 0})
-	bm := NewBlockMatrix(p, a)
+	bm := assemble(p, a)
 	if bm.StorageEntries() != int64(st.NnzTotal()) {
 		t.Fatalf("storage %d != static nnz %d", bm.StorageEntries(), st.NnzTotal())
 	}
@@ -205,7 +212,7 @@ func TestBlockLookup(t *testing.T) {
 	a := sparse.Grid2D(6, 6, false, sparse.GenOptions{Seed: 10})
 	st := symbolic.Factorize(sparse.PatternOf(a))
 	p := NewPartition(st, Options{MaxBlock: 5, Amalgamate: 2})
-	bm := NewBlockMatrix(p, a)
+	bm := assemble(p, a)
 	for b := 0; b < p.NB; b++ {
 		if got := bm.BlockAt(b, b); got != bm.Diag[b] {
 			t.Fatalf("BlockAt(%d,%d) != Diag", b, b)
@@ -236,7 +243,7 @@ func TestBlockRowSlice(t *testing.T) {
 	a := sparse.Grid2D(5, 5, false, sparse.GenOptions{Seed: 11})
 	st := symbolic.Factorize(sparse.PatternOf(a))
 	p := NewPartition(st, Options{MaxBlock: 4, Amalgamate: 2})
-	bm := NewBlockMatrix(p, a)
+	bm := assemble(p, a)
 	d := bm.Diag[0]
 	if rs := d.RowSlice(0); len(rs) != d.NumCols() {
 		t.Fatalf("RowSlice length %d, want %d", len(rs), d.NumCols())

@@ -30,3 +30,11 @@ go test -race ./client ./internal/cluster ./internal/symbolic ./internal/superno
 # carry every exchange of the client, the router and shard RPC; their tests
 # and the handshake refusal run under the race detector on every commit.
 go test -race -run 'Codec|Pool|WrongProtocol' ./internal/server
+
+# The factor layout (internal/supernode/layout.go) is built once per analysis
+# by whichever factorization gets there first, and its slab and aliased index
+# lists are shared by every later factorization, refactorization and decoded
+# replica. The concurrent first use, the failed-refactorize semantics, the
+# reference-builder equivalence and the decoded-factor checks run under the
+# race detector on every commit.
+go test -race -run 'TestConcurrentFirstFactorizeWith|TestFailedRefactorizeKeepsFactors|TestLoadRejectsInconsistentStructure|TestLayoutMatchesReferenceBuilder' . ./internal/core

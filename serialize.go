@@ -6,6 +6,7 @@ import (
 
 	"sstar/internal/core"
 	"sstar/internal/sparse"
+	"sstar/internal/supernode"
 	"sstar/internal/wire"
 )
 
@@ -65,8 +66,8 @@ func (f *Factorization) Save(w io.Writer) error {
 // Load reads a factorization previously written by Save. The result supports
 // every solve variant (Solve, SolveTranspose, SolveMany, Refine, ...) and
 // Refactorize with same-pattern matrices. Corrupt input of any kind —
-// truncation, flipped bits, wrong format — returns an error; Load never
-// panics.
+// truncation, flipped bits, wrong format, or factor blocks that do not match
+// the partition — returns an error; Load never panics.
 func Load(r io.Reader) (*Factorization, error) {
 	var h serialHeader
 	if err := wire.ReadGob(r, frameHeader, 1<<16, &h); err != nil {
@@ -110,6 +111,14 @@ func Load(r io.Reader) (*Factorization, error) {
 			return nil, fmt.Errorf("sstar: pivot %d of row %d is outside 0..%d", t, m, sym.N-1)
 		}
 	}
+	// The decoded blocks must be exactly the blocks the partition lays
+	// out; their values move into a fresh slab whose index lists alias
+	// the partition, as a computed factorization's do.
+	bm, err := supernode.NewLayout(sym.Partition).Adopt(fact.BM)
+	if err != nil {
+		return nil, fmt.Errorf("sstar: stream carries factors that do not match their partition: %w", err)
+	}
+	fact.BM = bm
 	fact.Sym = &sym
 	return &Factorization{sym: &sym, fact: fact, patHash: tr.PatHash, patNnz: tr.PatNnz}, nil
 }
@@ -186,8 +195,9 @@ func LoadAnalysis(r io.Reader) (*Analysis, error) {
 // checkSymbolic rejects a decoded symbolic structure that is internally
 // inconsistent — a checksummed stream can still carry one if it was written
 // that way — so that no later Solve or FactorizeWith indexes out of range:
-// both permutations must permute 0..N-1 and the block partition must rise
-// strictly from 0 to N.
+// both permutations must permute 0..N-1 and the block partition must pass
+// supernode's Partition.Check (blocks rising from 0 to N, sorted in-range
+// L/U index lists matching their block lists).
 func checkSymbolic(sym *core.Symbolic) error {
 	n := sym.N
 	for _, perm := range [][]int{sym.RowPerm, sym.ColPerm} {
@@ -195,14 +205,11 @@ func checkSymbolic(sym *core.Symbolic) error {
 			return fmt.Errorf("sstar: stream carries a row or column permutation that does not permute 0..%d", n-1)
 		}
 	}
-	p := sym.Partition
-	if p.NB < 1 || len(p.Start) != p.NB+1 || p.Start[0] != 0 || p.Start[p.NB] != n {
-		return fmt.Errorf("sstar: stream carries a block partition that does not span 0..%d", n)
+	if sym.Partition.N != n {
+		return fmt.Errorf("sstar: stream carries a block partition of order %d for order %d", sym.Partition.N, n)
 	}
-	for b := 0; b < p.NB; b++ {
-		if p.Start[b+1] <= p.Start[b] {
-			return fmt.Errorf("sstar: stream carries an empty or reversed block %d", b)
-		}
+	if err := sym.Partition.Check(); err != nil {
+		return fmt.Errorf("sstar: stream carries an inconsistent block partition: %w", err)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sstar/internal/core"
+	"sstar/internal/supernode"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -261,6 +262,18 @@ func TestLoadAnalysisNeverPanicsOnCorruption(t *testing.T) {
 	load("a factorization stream", buf.Bytes())
 }
 
+// firstLBlock returns the first L block of f's block matrix.
+func firstLBlock(t *testing.T, f *core.Factorization) *supernode.Block {
+	t.Helper()
+	for _, col := range f.BM.LCol {
+		if len(col) > 0 {
+			return col[0]
+		}
+	}
+	t.Fatal("factorization has no L block")
+	return nil
+}
+
 // TestLoadRejectsInconsistentStructure: a stream whose frames all checksum
 // cleanly can still carry a structure that is inconsistent with itself (a
 // buggy or hostile writer, or a replication push). Load and LoadAnalysis
@@ -274,11 +287,33 @@ func TestLoadRejectsInconsistentStructure(t *testing.T) {
 		"short row permutation":               func(sym *core.Symbolic) { sym.RowPerm = sym.RowPerm[:sym.N-1] },
 		"partition ends short of N":           func(sym *core.Symbolic) { sym.Partition.Start[sym.Partition.NB]-- },
 		"partition not rising":                func(sym *core.Symbolic) { sym.Partition.Start[1] = 0 },
+		"partition L row out of range": func(sym *core.Symbolic) {
+			for _, rows := range sym.Partition.LRows {
+				if len(rows) > 0 {
+					rows[len(rows)-1] = 1 << 20
+					return
+				}
+			}
+		},
 	}
 	factMuts := map[string]func(f *core.Factorization){
 		"short pivot sequence": func(f *core.Factorization) { f.Piv = f.Piv[:len(f.Piv)-1] },
 		"pivot out of range":   func(f *core.Factorization) { f.Piv[0] = 1 << 20 },
 		"negative pivot":       func(f *core.Factorization) { f.Piv[1] = -1 },
+		"L block data one entry short": func(f *core.Factorization) {
+			lb := firstLBlock(t, f)
+			lb.Data = lb.Data[:len(lb.Data)-1]
+		},
+		"L block row index out of range": func(f *core.Factorization) {
+			// Index lists are shared with the partition: mutate a copy.
+			lb := firstLBlock(t, f)
+			lb.Rows = append([]int32(nil), lb.Rows...)
+			lb.Rows[0] = 1 << 20
+		},
+		"L block dropped from its column": func(f *core.Factorization) {
+			lb := firstLBlock(t, f)
+			f.BM.LCol[lb.J] = f.BM.LCol[lb.J][1:]
+		},
 	}
 	for name, mut := range symMuts {
 		factMuts[name] = func(f *core.Factorization) { mut(f.Sym) }
