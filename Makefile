@@ -29,11 +29,13 @@ cluster: ## the sharded-cluster suite: ring placement, redirects, replication fa
 cluster-churn: ## the self-healing suite: membership churn property test + kill/rejoin and partition e2e — race detector on
 	$(GO) test -race -count=1 -run 'TestChurnConvergence|TestSelfHealKillRejoinE2E|TestClusterPartitionHeal' -timeout 600s ./internal/cluster
 
-fuzz: ## short fuzz smokes over the wire codec and the server request/response decoders
+fuzz: ## short fuzz smokes over the wire codec, the server request/response decoders and the replication payload decoders (Load, LoadAnalysis)
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzRequestDecode$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzRedirectDecode$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzMembershipDecode$$' -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s -fuzzminimizetime=0 .
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadAnalysis$$' -fuzztime=10s -fuzzminimizetime=0 .
 
 bench-kernels: ## regenerate the tracked kernel benchmark report
 	$(GO) run ./cmd/sstar-bench -experiment kernels -out BENCH_kernels.json

@@ -30,6 +30,13 @@ type testFleet struct {
 
 func startFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
+	return startFleetWith(t, n, ShardConfig{})
+}
+
+// startFleetWith is startFleet with every shard configured from base (Self
+// and Peers filled in); the router places with the same replica count.
+func startFleetWith(t *testing.T, n int, base ShardConfig) *testFleet {
+	t.Helper()
 	f := &testFleet{}
 	ls := make([]net.Listener, n)
 	for i := range ls {
@@ -41,7 +48,9 @@ func startFleet(t *testing.T, n int) *testFleet {
 		f.peers = append(f.peers, l.Addr().String())
 	}
 	for i := range ls {
-		sh, err := NewShard(ShardConfig{Self: f.peers[i], Peers: f.peers})
+		cfg := base
+		cfg.Self, cfg.Peers = f.peers[i], f.peers
+		sh, err := NewShard(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +60,7 @@ func startFleet(t *testing.T, n int) *testFleet {
 		f.shards = append(f.shards, sh)
 		f.servers = append(f.servers, s)
 	}
-	r, err := NewRouter(RouterConfig{Shards: f.peers})
+	r, err := NewRouter(RouterConfig{Shards: f.peers, Replicas: base.Replicas})
 	if err != nil {
 		t.Fatal(err)
 	}

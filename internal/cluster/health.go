@@ -369,8 +369,8 @@ func sameMembers(a, b []string) bool {
 // handleMembership answers one OpMembership exchange on the receiving shard:
 // apply the intent (Join/Leave) or merge the view, ack the sender, and
 // answer with the merged view. Route calls this inline — all work is cheap
-// map/ring surgery; re-replication of moved keys happens on the rebalance
-// goroutine the kick wakes.
+// map/ring surgery; re-replication of moved keys happens in the
+// reconciler pass the kick wakes.
 func (sh *Shard) handleMembership(req *server.Request) *server.Response {
 	changed := false
 	switch {
@@ -391,7 +391,7 @@ func (sh *Shard) handleMembership(req *server.Request) *server.Response {
 		sh.membershipChanges.Add(1)
 		sh.logf("cluster: %s: membership now epoch %d %v (from %s join=%v leave=%v)",
 			sh.cfg.Self, sh.ring.Epoch(), sh.ring.Members(), req.Addr, req.Join, req.Leave)
-		sh.kickRebalance()
+		kick(sh.rebalance)
 	}
 	epoch, members := sh.ring.View()
 	return &server.Response{Epoch: epoch, Members: members}
@@ -448,7 +448,7 @@ func (sh *Shard) heartbeat() {
 			sh.membershipChanges.Add(1)
 			sh.logf("cluster: %s: adopted membership epoch %d %v from %s",
 				sh.cfg.Self, resp.Epoch, resp.Members, addr)
-			sh.kickRebalance()
+			kick(sh.rebalance)
 		}
 		if joinNeeded && sh.ring.Contains(sh.cfg.Self) {
 			joinNeeded = false
@@ -468,7 +468,7 @@ func (sh *Shard) heartbeat() {
 				sh.deaths.Add(1)
 				sh.logf("cluster: %s: declared %s dead (phi %.1f >= %.1f), membership now epoch %d %v",
 					sh.cfg.Self, addr, sh.det.phi(addr), sh.det.dead, sh.ring.Epoch(), sh.ring.Members())
-				sh.kickRebalance()
+				kick(sh.rebalance)
 			}
 		case stateSuspect:
 			sh.logf("cluster: %s: suspects %s (phi %.1f)", sh.cfg.Self, addr, sh.det.phi(addr))

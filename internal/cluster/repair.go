@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sstar"
@@ -10,28 +13,49 @@ import (
 )
 
 // Default cadences of the self-healing loops. Heartbeats are cheap (one
-// small gob exchange per peer); the repair sweep costs one manifest exchange
-// per peer plus a local diff, so it runs an order of magnitude slower.
+// small gob exchange per peer); the periodic sweep costs one manifest
+// exchange per peer plus a local diff, so it runs an order of magnitude
+// slower.
 const (
 	defaultHeartbeatInterval = 250 * time.Millisecond
 	defaultRepairInterval    = 2 * time.Second
 )
 
-// kickRebalance wakes the repair goroutine for an immediate push-only sweep
-// — the membership just changed, and the moved keys should re-replicate now
-// rather than at the next periodic tick. Non-blocking: a kick during a
-// running sweep coalesces into one more round.
-func (sh *Shard) kickRebalance() {
+// mark is one dirty handle: a local write its responsible peers have not
+// acknowledged yet. freed marks a free still to be forwarded.
+type mark struct {
+	key   uint64
+	freed bool
+}
+
+// kick wakes the reconciler through ch without blocking: a kick during a
+// running pass coalesces into one more pass.
+func kick(ch chan struct{}) {
 	select {
-	case sh.rebalance <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
 
-// repairLoop alternates between kicked rebalances (membership changes:
-// promote + push the moved keys, never drop — the view may still be
-// converging) and periodic full sweeps (push and, with two-sweep
-// confirmation, drop strays).
+// pending counts the dirty plus in-flight entries:
+// ServerStats.ReplicationPending.
+func (sh *Shard) pending() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.dirty) + len(sh.dirtyAn) + sh.inflight
+}
+
+// The three triggers of a reconciler pass differ only in what they know and
+// may do.
+const (
+	passWrites    = iota // a write kick (and the Close flush): the dirty entries only, no manifest exchange
+	passRebalance        // a membership kick: every entry against fresh peer manifests; never drops
+	passSweep            // the periodic tick: as passRebalance, plus the two-sweep stray drop
+)
+
+// repairLoop is the cluster's only placement mechanism: every push, free,
+// promotion, demotion and drop happens in one of its passes. On Close it
+// flushes the dirty set with one writes pass.
 func (sh *Shard) repairLoop() {
 	defer close(sh.repairDone)
 	var tick <-chan time.Time
@@ -43,136 +67,108 @@ func (sh *Shard) repairLoop() {
 	for {
 		select {
 		case <-sh.stop:
+			sh.reconcile(passWrites)
 			return
+		case <-sh.kick:
+			sh.reconcile(passWrites)
 		case <-sh.rebalance:
-			sh.sweep(false)
+			sh.reconcile(passRebalance)
 		case <-tick:
-			sh.sweep(true)
+			sh.reconcile(passSweep)
 		}
 	}
 }
 
-// sweep is one anti-entropy round: diff this shard's manifest against ring
-// placement and the responsible peers' manifests, then
+// reconcile is one pass. It takes the dirty set, decides every entry in
+// scope with decide (a writes pass: the dirty handles; the other passes:
+// every live handle), forwards the dirty frees and pushes the dirty
+// analyses. Whatever fails goes back into the dirty set for the next kick or
+// tick: each pass makes one attempt per push.
 //
-//   - promote replica entries whose key this shard now owns (and push any
-//     successor that is missing or stale — restoring R copies after a
-//     promotion is what closes the "promoted replica is singly-homed" gap);
-//   - demote owned entries whose key moved away, once the new owner is
-//     confirmed to hold factors at least as new (the rejoin-reversal path:
-//     push first, demote after);
-//   - push strays (entries on no responsible position) to every responsible
-//     shard that lacks them, and — only with allowDrop, and only after the
-//     copies were confirmed on two consecutive sweeps — release them.
-//
-// The sweep never drops anything it cannot prove is held elsewhere, and the
-// push direction is always toward ring placement, so repeated sweeps
+// A pass never drops anything it cannot prove is held elsewhere, and the
+// push direction is always toward ring placement, so repeated passes
 // monotonically converge the fleet to "every key on exactly its R
-// responsible shards" (see DESIGN.md, "Self-healing membership").
-func (sh *Shard) sweep(allowDrop bool) {
+// responsible shards" (see DESIGN.md, "One placement reconciler").
+func (sh *Shard) reconcile(kind int) {
 	s := sh.srv.Load()
 	if s == nil {
 		return
 	}
-	manifest := s.Manifest()
-	_, members := sh.ring.View()
+	sh.mu.Lock()
+	dirty, dirtyAn := sh.dirty, sh.dirtyAn
+	sh.dirty, sh.dirtyAn = make(map[uint64]mark), make(map[uint64]*sstar.Analysis)
+	sh.inflight = len(dirty) + len(dirtyAn)
+	sh.mu.Unlock()
+	failed := make(map[uint64]mark)
+	failedAn := make(map[uint64]*sstar.Analysis)
+	defer func() {
+		// A newer mark made during the pass supersedes a failed one.
+		sh.mu.Lock()
+		for id, m := range failed {
+			if _, ok := sh.dirty[id]; !ok {
+				sh.dirty[id] = m
+			}
+		}
+		for key, an := range failedAn {
+			if _, ok := sh.dirtyAn[key]; !ok {
+				sh.dirtyAn[key] = an
+			}
+		}
+		sh.inflight = 0
+		sh.mu.Unlock()
+	}()
 
-	// One manifest exchange per peer per sweep, not per key. A nil map
-	// means the peer was unreachable: nothing can be confirmed against it
-	// this round (pushes to it would fail anyway, drops must wait).
-	peerMan := make(map[string]map[uint64]server.ManifestEntry, len(members))
-	for _, m := range members {
-		if m == sh.cfg.Self {
-			continue
+	// A writes pass needs no manifest, local or remote: a dirty entry is
+	// stale on its peers by definition. The other passes exchange one
+	// manifest per peer, not per key.
+	var peers map[string]map[uint64]server.ManifestEntry
+	var local []server.ManifestEntry
+	if kind == passWrites {
+		for id, m := range dirty {
+			if !m.freed {
+				local = append(local, server.ManifestEntry{Handle: id, Key: m.key})
+			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
-		resp, _, err := sh.pool.Call(ctx, m, &server.Request{Op: server.OpManifest})
-		cancel()
-		if err != nil || resp.Err != "" {
-			peerMan[m] = nil
-			continue
-		}
-		mm := make(map[uint64]server.ManifestEntry, len(resp.Manifest))
-		for _, e := range resp.Manifest {
-			mm[e.Handle] = e
-		}
-		peerMan[m] = mm
+	} else {
+		peers = sh.peerManifests()
+		local = s.Manifest()
 	}
-
 	confirmed := make(map[uint64]struct{})
-	for _, e := range manifest {
-		reps := sh.ring.Replicas(e.Key, sh.cfg.Replicas)
-		pos := -1
-		for i, m := range reps {
-			if m == sh.cfg.Self {
-				pos = i
-				break
-			}
+	for _, e := range local {
+		m, marked := dirty[e.Handle]
+		delete(dirty, e.Handle)
+		if !sh.decide(s, e, marked && !m.freed, peers, confirmed) {
+			failed[e.Handle] = mark{key: e.Key}
 		}
-		switch {
-		case pos == 0: // this shard owns the key
-			if e.Replica && s.SetHandleRole(e.Handle, false) {
-				sh.promotions.Add(1)
-				sh.logf("cluster: %s: promoted handle %d (key %#x) to owner", sh.cfg.Self, e.Handle, e.Key)
-			}
-			for _, m := range reps[1:] {
-				pm := peerMan[m]
-				if pm == nil {
-					continue
-				}
-				if pe, ok := pm[e.Handle]; !ok || pe.ValEpoch < e.ValEpoch {
-					sh.pushCopy(s, e.Handle, m)
-				}
-			}
-		case pos > 0: // this shard is a replica position
-			owner := reps[0]
-			pm := peerMan[owner]
-			if pm == nil {
-				break // owner unreachable: hold everything as-is
-			}
-			if oe, ok := pm[e.Handle]; ok && oe.ValEpoch >= e.ValEpoch {
-				// The owner holds current factors — this copy is the
-				// replica it should be. (The previous owner rejoining and
-				// receiving its range back lands here: demotion closes the
-				// handover its pushes started.)
-				if !e.Replica && s.SetHandleRole(e.Handle, true) {
-					sh.demotions.Add(1)
-					sh.logf("cluster: %s: demoted handle %d (key %#x) to replica of %s", sh.cfg.Self, e.Handle, e.Key, owner)
-				}
-			} else {
-				// Owner missing or stale: restore it. Deliberately the
-				// resurrection-safe direction — a replica never decides a
-				// missing owner copy means "freed", because the other
-				// explanation (the owner restarted empty) would turn a drop
-				// into permanent data loss.
-				sh.pushCopy(s, e.Handle, owner)
-			}
-		default: // stray: this shard holds a key it is not responsible for
-			held := true
-			for _, m := range reps {
-				pm := peerMan[m]
-				if pm == nil {
-					held = false
-					continue
-				}
-				if pe, ok := pm[e.Handle]; !ok || pe.ValEpoch < e.ValEpoch {
-					sh.pushCopy(s, e.Handle, m)
-					held = false
-				}
-			}
-			if held && len(reps) > 0 {
-				confirmed[e.Handle] = struct{}{}
-			}
+	}
+	// What is left of the dirty set is not live here. A freed handle is
+	// released on every replica position; a stored one was evicted or
+	// dropped since, and there is nothing left to push.
+	for id, m := range dirty {
+		if m.freed && !s.HasHandle(id) && !sh.forward(m.key, &server.Request{Op: server.OpFree, Handle: id, Key: m.key}) {
+			failed[id] = m
 		}
+	}
+	for key, an := range dirtyAn {
+		var buf bytes.Buffer
+		if err := an.Save(&buf); err != nil {
+			sh.logf("cluster: serialize analysis %#x: %v", key, err)
+			continue
+		}
+		if !sh.forward(key, &server.Request{Op: server.OpReplicateAnalysis, Key: key, Blob: buf.Bytes()}) {
+			failedAn[key] = an
+		}
+	}
+	if kind == passWrites {
+		return
 	}
 
 	// Two-sweep drop rule: a stray is released only when every responsible
-	// shard held a current copy on this sweep AND the previous one — one
+	// shard held a current copy on this pass AND the previous one — one
 	// confirmation could race a concurrent eviction or a view still
 	// converging; two consecutive confirmations spaced a repair interval
 	// apart make the copies durable observations, not luck.
-	sh.strayMu.Lock()
-	if allowDrop {
+	if kind == passSweep {
 		for id := range confirmed {
 			if _, seen := sh.strayCand[id]; seen {
 				if s.DropHandle(id) {
@@ -184,26 +180,145 @@ func (sh *Shard) sweep(allowDrop bool) {
 		}
 	}
 	sh.strayCand = confirmed
-	sh.strayMu.Unlock()
 }
 
-// pushCopy enqueues a repair push of a live handle's factors to addr,
-// re-serializing them bit-exactly (Save/Load round-trips the pivot
-// sequence, so the receiver's solves stay bit-identical).
-func (sh *Shard) pushCopy(s *server.Server, id uint64, addr string) {
-	ev, ok := s.ExportHandle(id)
-	if !ok {
-		return
+// peerManifests fetches every other member's manifest. A nil map means the
+// peer was unreachable: nothing can be confirmed against it this pass
+// (pushes to it would fail anyway, drops must wait).
+func (sh *Shard) peerManifests() map[string]map[uint64]server.ManifestEntry {
+	_, members := sh.ring.View()
+	peers := make(map[string]map[uint64]server.ManifestEntry, len(members))
+	for _, m := range members {
+		if m == sh.cfg.Self {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+		resp, _, err := sh.pool.Call(ctx, m, &server.Request{Op: server.OpManifest})
+		cancel()
+		if err != nil || resp.Err != "" {
+			peers[m] = nil
+			continue
+		}
+		mm := make(map[uint64]server.ManifestEntry, len(resp.Manifest))
+		for _, e := range resp.Manifest {
+			mm[e.Handle] = e
+		}
+		peers[m] = mm
 	}
-	sh.repairPushes.Add(1)
-	sh.enqueue(replJob{addr: addr, req: &server.Request{
-		Op:       server.OpReplicate,
-		Handle:   ev.Handle,
-		Key:      ev.Key,
-		Matrix:   &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
-		Blob:     ev.Blob,
-		ValEpoch: ev.ValEpoch,
-	}})
+	return peers
+}
+
+// decide is the one per-entry placement decision, the same for all three
+// triggers (DESIGN.md, "One placement reconciler"). Its inputs are the ring
+// placement of e's key and what is known of each peer: a dirty entry is
+// stale on every peer, a peer with no manifest is unknown, and a known peer
+// is behind when it lacks e or holds an older values-epoch. The owner
+// promotes its copy and pushes every position behind. A replica position
+// sends a dirty entry to every other position; otherwise only the owner
+// counts: pushed when behind (a missing owner copy never means "freed" — the
+// owner may have restarted empty), demoted to when known and current. A
+// stray is pushed to every responsible shard behind and joins confirmed when
+// all are known and current. It reports false when a push failed.
+func (sh *Shard) decide(s *server.Server, e server.ManifestEntry, dirty bool, peers map[string]map[uint64]server.ManifestEntry, confirmed map[uint64]struct{}) bool {
+	reps := sh.ring.Replicas(e.Key, sh.cfg.Replicas)
+	behind := func(m string) bool {
+		if dirty {
+			return true
+		}
+		pm := peers[m]
+		if pm == nil {
+			return false
+		}
+		pe, ok := pm[e.Handle]
+		return !ok || pe.ValEpoch < e.ValEpoch
+	}
+	targets := reps
+	switch pos := slices.Index(reps, sh.cfg.Self); {
+	case pos == 0:
+		if e.Replica && s.SetHandleRole(e.Handle, false) {
+			sh.promotions.Add(1)
+			sh.logf("cluster: %s: promoted handle %d (key %#x) to owner", sh.cfg.Self, e.Handle, e.Key)
+		}
+	case pos > 0 && !dirty:
+		owner := reps[0]
+		targets = reps[:1]
+		if peers[owner] != nil && !behind(owner) && !e.Replica && s.SetHandleRole(e.Handle, true) {
+			sh.demotions.Add(1)
+			sh.logf("cluster: %s: demoted handle %d (key %#x) to replica of %s", sh.cfg.Self, e.Handle, e.Key, owner)
+		}
+	case pos < 0:
+		held := len(reps) > 0
+		for _, m := range reps {
+			held = held && peers[m] != nil && !behind(m)
+		}
+		if held {
+			confirmed[e.Handle] = struct{}{}
+		}
+	}
+	var req *server.Request
+	ok := true
+	for _, m := range targets {
+		if m == sh.cfg.Self || !behind(m) {
+			continue
+		}
+		if req == nil {
+			if req = s.ExportHandle(e.Handle); req == nil {
+				return true // no longer live here: nothing to push
+			}
+		}
+		if !dirty {
+			sh.repairPushes.Add(1)
+		}
+		err := sh.send(m, req)
+		if errors.Is(err, sstar.ErrBadHandle) && s.FreeHandle(e.Handle) {
+			// m refused because a client freed the handle there (a free
+			// is final, see server.FreeHandle): the free wins over every
+			// copy, this one first.
+			sh.Freed(e.Handle, e.Key)
+			return true
+		}
+		ok = ok && err == nil
+	}
+	return ok
+}
+
+// forward sends req to every replica position of key but this shard and
+// reports whether all of them acknowledged.
+func (sh *Shard) forward(key uint64, req *server.Request) bool {
+	ok := true
+	for _, m := range sh.ring.Replicas(key, sh.cfg.Replicas) {
+		if m != sh.cfg.Self {
+			ok = sh.send(m, req) == nil && ok
+		}
+	}
+	return ok
+}
+
+// send makes one attempt to deliver a placement request to addr and counts
+// the outcome. A free answered BadHandle or Evicted reached its goal (the
+// peer never installed the copy, or already dropped it). A factor push
+// answered BadHandle is no failure either: a client freed the handle on the
+// peer, and the caller lets that free win.
+func (sh *Shard) send(addr string, req *server.Request) error {
+	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+	resp, _, err := sh.pool.Call(ctx, addr, req)
+	cancel()
+	if err == nil && resp.Err != "" {
+		switch {
+		case req.Op == server.OpFree && (resp.Code == server.CodeBadHandle || resp.Code == server.CodeEvicted):
+		case req.Op == server.OpReplicate && resp.Code == server.CodeBadHandle:
+			return resp.Error()
+		default:
+			err = resp.Error()
+		}
+	}
+	if err != nil {
+		sh.replErrors.Add(1)
+		sh.logf("cluster: %s: %s to %s failed, stays dirty: %v", sh.cfg.Self, req.Op, addr, err)
+		return err
+	}
+	sh.replications.Add(1)
+	return nil
 }
 
 // PlacementViolations diffs a fleet's manifests against the ring placement

@@ -1,7 +1,8 @@
 // Package cluster turns N single-node sstar-serve shards into one solve
 // service: structures are placed on shards by consistent hashing of their
 // 64-bit structure key, factors and analysis-cache entries are replicated
-// asynchronously to each owner's successor on the ring, and a thin router
+// asynchronously to each key's replica positions on the ring by one
+// placement reconciler per shard (repair.go), and a thin router
 // (cmd/sstar-router) speaks the ordinary client protocol in front of the
 // fleet — scattering wide multi-RHS solves across replica holders and
 // failing solves over to the replica when the owner dies, without ever

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -33,11 +32,6 @@ type ShardConfig struct {
 	Network string
 	// MaxFrame caps peer response frames (wire.DefaultMaxPayload default).
 	MaxFrame int
-	// QueueDepth bounds the asynchronous replication queue (default 256).
-	// When the queue is full the oldest semantics are preserved by dropping
-	// the *new* push and counting it — a lagging successor degrades
-	// replication freshness, never the request path.
-	QueueDepth int
 	// Join, when set, names any live member of an existing cluster: the
 	// shard boots with a single-member ring at epoch 0 and the health loop
 	// joins through that address (receiving the fleet's epoch and member
@@ -49,10 +43,11 @@ type ShardConfig struct {
 	// 250ms). Negative disables the health loop — membership stays static,
 	// the pre-self-healing behavior.
 	HeartbeatInterval time.Duration
-	// RepairInterval is the anti-entropy sweep cadence (default 2s).
-	// Negative disables the periodic sweep (membership-change rebalances
-	// still run). The sweep diffs per-shard manifests against ring
-	// placement and pushes/demotes/drops until the fleet converges.
+	// RepairInterval is the cadence of the reconciler's periodic sweep
+	// (default 2s). Negative disables the periodic sweep (write and
+	// membership passes still run). The sweep diffs per-shard manifests
+	// against ring placement, retries what earlier passes left dirty, and
+	// pushes/demotes/drops until the fleet converges.
 	RepairInterval time.Duration
 	// SuspectThreshold and DeadThreshold are the failure detector's phi
 	// levels (time since last ack in units of the smoothed ack interval):
@@ -86,9 +81,6 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	if c.Network == "" {
 		c.Network = "tcp"
 	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 256
-	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = defaultHeartbeatInterval
 	}
@@ -101,17 +93,11 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	return c
 }
 
-// replJob is one queued replication push: a prebuilt request bound for the
-// successor shard.
-type replJob struct {
-	addr string
-	req  *server.Request
-}
-
 // Shard implements server.ClusterHooks: it owns the ring view, refuses work
-// placed elsewhere with typed redirects, and replicates writes to the
-// successor asynchronously. Create with NewShard, pass as
-// server.Config.Cluster, then Bind the resulting server.
+// placed elsewhere with typed redirects, and keeps every handle on its ring
+// placement with one reconciler (repair.go): writes mark handles dirty, the
+// reconciler pushes, frees, promotes, demotes and drops. Create with
+// NewShard, pass as server.Config.Cluster, then Bind the resulting server.
 type Shard struct {
 	cfg  ShardConfig
 	ring *Ring
@@ -120,21 +106,25 @@ type Shard struct {
 	mem  *membership
 	det  *detector
 
-	jobs       chan replJob
-	rebalance  chan struct{} // kicks an immediate push-only sweep after a membership change
+	kick       chan struct{} // a write marked something dirty: run a writes pass
+	rebalance  chan struct{} // the membership changed: re-replicate the moved keys now
 	stop       chan struct{}
-	done       chan struct{}
 	healthDone chan struct{}
 	repairDone chan struct{}
 
-	strayMu   sync.Mutex
+	// The dirty set: local writes whose copies the responsible peers have
+	// not acknowledged yet, keyed by handle id (dirty) and by structure key
+	// (dirtyAn). inflight counts the entries a running pass took out of it.
+	mu       sync.Mutex
+	dirty    map[uint64]mark
+	dirtyAn  map[uint64]*sstar.Analysis
+	inflight int
+
 	strayCand map[uint64]struct{} // strays whose copies were confirmed last sweep (two-sweep drop rule)
 
 	redirects         atomic.Int64
 	replications      atomic.Int64
 	replErrors        atomic.Int64
-	replDropped       atomic.Int64
-	pending           atomic.Int64 // queued + in-flight replication pushes
 	promotions        atomic.Int64
 	demotions         atomic.Int64
 	repairPushes      atomic.Int64
@@ -173,12 +163,13 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		cfg:        cfg,
 		ring:       ring,
 		pool:       server.NewPool(cfg.Network, 0, peerIdle, cfg.MaxFrame),
-		jobs:       make(chan replJob, cfg.QueueDepth),
+		kick:       make(chan struct{}, 1),
 		rebalance:  make(chan struct{}, 1),
 		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 		healthDone: make(chan struct{}),
 		repairDone: make(chan struct{}),
+		dirty:      make(map[uint64]mark),
+		dirtyAn:    make(map[uint64]*sstar.Analysis),
 	}
 	sh.mem = newMembership(cfg.Self, ring)
 	sh.det = newDetector(cfg.Clock, cfg.HeartbeatInterval, cfg.SuspectThreshold, cfg.DeadThreshold)
@@ -188,7 +179,6 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.Join != "" {
 		sh.mem.noteKnown(cfg.Join)
 	}
-	go sh.replicator()
 	if cfg.HeartbeatInterval > 0 {
 		go sh.healthLoop()
 	} else {
@@ -213,14 +203,14 @@ func (sh *Shard) Bind(s *server.Server) {
 			return float64(st.Handles - st.ReplicaHandles)
 		})
 	reg.GaugeFunc("sstar_cluster_replication_pending",
-		"Replication pushes queued or in flight — the lag a failover right now would expose.",
-		func() float64 { return float64(sh.pending.Load()) })
+		"Dirty plus in-flight placement entries — the lag a failover right now would expose.",
+		func() float64 { return float64(sh.pending()) })
 	reg.CounterFunc("sstar_cluster_replications_total",
-		"Replication pushes acknowledged by the successor.",
+		"Replication pushes (factors, analyses, frees) acknowledged by a peer.",
 		func() float64 { return float64(sh.replications.Load()) })
 	reg.CounterFunc("sstar_cluster_replication_errors_total",
-		"Replication pushes abandoned after retries (dropped enqueues included).",
-		func() float64 { return float64(sh.replErrors.Load() + sh.replDropped.Load()) })
+		"Replication pushes that failed; the entry stays dirty and the next pass retries it.",
+		func() float64 { return float64(sh.replErrors.Load()) })
 	reg.CounterFunc("sstar_cluster_redirects_total",
 		"Requests refused with CodeRedirect/CodeNotOwner because placement assigns them elsewhere.",
 		func() float64 { return float64(sh.redirects.Load()) })
@@ -240,20 +230,20 @@ func (sh *Shard) Bind(s *server.Server) {
 		"Owned handles demoted to replica after their key moved away (rejoin handover).",
 		func() float64 { return float64(sh.demotions.Load()) })
 	reg.CounterFunc("sstar_cluster_repair_pushes_total",
-		"Factor copies the anti-entropy sweep pushed to restore ring placement.",
+		"Factor copies pushed because a peer manifest showed them missing or stale (not for a local write).",
 		func() float64 { return float64(sh.repairPushes.Load()) })
 	reg.CounterFunc("sstar_cluster_repair_drops_total",
 		"Stray handles released after their copies were confirmed on two consecutive sweeps.",
 		func() float64 { return float64(sh.repairDrops.Load()) })
 }
 
-// Close stops the health, repair, and replicator goroutines (best effort:
-// the replication queue is drained first) and releases peer connections.
+// Close stops the health and reconciler goroutines (best effort: the dirty
+// set is flushed first, one attempt per entry) and releases peer
+// connections.
 func (sh *Shard) Close() {
 	close(sh.stop)
 	<-sh.healthDone
 	<-sh.repairDone
-	<-sh.done
 	sh.pool.Close()
 }
 
@@ -285,17 +275,6 @@ func (sh *Shard) logf(format string, args ...any) {
 	if sh.cfg.Logf != nil {
 		sh.cfg.Logf(format, args...)
 	}
-}
-
-// successor returns the first replica holder for key that is not this shard,
-// "" when the fleet has no other member.
-func (sh *Shard) successor(key uint64) string {
-	for _, m := range sh.ring.Replicas(key, sh.cfg.Replicas) {
-		if m != sh.cfg.Self {
-			return m
-		}
-	}
-	return ""
 }
 
 // Route implements server.ClusterHooks: refuse work that placement assigns
@@ -363,61 +342,42 @@ func (sh *Shard) Route(req *server.Request) *server.Response {
 	return nil // ping, stats, replication pushes: always local
 }
 
-// Placement implements server.ClusterHooks.
+// Placement implements server.ClusterHooks: the replica is the first
+// replica position of key that is not this shard ("" in a fleet of one).
 func (sh *Shard) Placement(key uint64) (self, replica string) {
-	return sh.cfg.Self, sh.successor(key)
+	for _, m := range sh.ring.Replicas(key, sh.cfg.Replicas) {
+		if m != sh.cfg.Self {
+			return sh.cfg.Self, m
+		}
+	}
+	return sh.cfg.Self, ""
 }
 
-// Analyzed implements server.ClusterHooks: replicate a freshly computed
-// analysis-cache entry to the successor, so a failover factorize there is a
-// cache hit instead of a cold analyze.
+// Analyzed implements server.ClusterHooks: mark a freshly computed
+// analysis-cache entry dirty, so the reconciler copies it to the key's other
+// replica positions and a failover factorize there is a cache hit instead of
+// a cold analyze.
 func (sh *Shard) Analyzed(key uint64, an *sstar.Analysis) {
-	succ := sh.successor(key)
-	if succ == "" {
-		return
-	}
-	var buf bytes.Buffer
-	if err := an.Save(&buf); err != nil {
-		sh.logf("cluster: serialize analysis %#x: %v", key, err)
-		return
-	}
-	sh.enqueue(replJob{addr: succ, req: &server.Request{
-		Op:   server.OpReplicateAnalysis,
-		Key:  key,
-		Blob: buf.Bytes(),
-	}})
+	sh.mu.Lock()
+	sh.dirtyAn[key] = an
+	sh.mu.Unlock()
+	kick(sh.kick)
 }
 
-// Stored implements server.ClusterHooks: replicate the factors to the
-// successor. The pattern rides along so the replica supports the
-// values-only refactorize fast path after a promotion.
-func (sh *Shard) Stored(ev server.StoredEvent) {
-	succ := sh.successor(ev.Key)
-	if succ == "" {
-		return
-	}
-	sh.enqueue(replJob{addr: succ, req: &server.Request{
-		Op:     server.OpReplicate,
-		Handle: ev.Handle,
-		Key:    ev.Key,
-		Matrix: &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
-		Blob:   ev.Blob,
-	}})
-}
+// Stored implements server.ClusterHooks: mark the handle dirty after a
+// factorize or refactorize; the reconciler pushes the current factors.
+func (sh *Shard) Stored(handle, key uint64) { sh.markDirty(handle, mark{key: key}) }
 
-// Freed implements server.ClusterHooks: forward the free so the replica is
-// released too. (The server only calls this for owned handles, so the
-// forward cannot cascade.)
-func (sh *Shard) Freed(handle uint64, key uint64) {
-	succ := sh.successor(key)
-	if succ == "" {
-		return
-	}
-	sh.enqueue(replJob{addr: succ, req: &server.Request{
-		Op:     server.OpFree,
-		Handle: handle,
-		Key:    key,
-	}})
+// Freed implements server.ClusterHooks: mark the free dirty; the reconciler
+// sends it to every replica position of the key. (The server only calls this
+// for owned handles, so the forward cannot cascade.)
+func (sh *Shard) Freed(handle, key uint64) { sh.markDirty(handle, mark{key: key, freed: true}) }
+
+func (sh *Shard) markDirty(handle uint64, m mark) {
+	sh.mu.Lock()
+	sh.dirty[handle] = m
+	sh.mu.Unlock()
+	kick(sh.kick)
 }
 
 // AugmentStats implements server.ClusterHooks.
@@ -425,7 +385,7 @@ func (sh *Shard) AugmentStats(st *server.ServerStats) {
 	st.Shards = sh.ring.Size()
 	st.Redirects = sh.redirects.Load()
 	st.Replications = sh.replications.Load()
-	st.ReplicationPending = int(sh.pending.Load())
+	st.ReplicationPending = sh.pending()
 	st.Epoch = sh.ring.Epoch()
 	st.Promotions = sh.promotions.Load()
 	st.Demotions = sh.demotions.Load()
@@ -442,73 +402,3 @@ func (sh *Shard) Owner(key uint64) string { return sh.ring.Owner(key) }
 
 // Members returns the shard's current member list, sorted.
 func (sh *Shard) Members() []string { return sh.ring.Members() }
-
-// enqueue hands a push to the replicator without ever blocking the request
-// path: a full queue drops the push (counted, logged) rather than stalling
-// a factorize behind a lagging successor.
-func (sh *Shard) enqueue(j replJob) {
-	sh.pending.Add(1)
-	select {
-	case sh.jobs <- j:
-	default:
-		sh.pending.Add(-1)
-		sh.replDropped.Add(1)
-		sh.logf("cluster: replication queue full, dropped %s to %s", j.req.Op, j.addr)
-	}
-}
-
-// replicator drains the push queue, retrying each push with backoff — the
-// successor may be mid-restart or behind a flaky link. On shutdown the
-// queued pushes are flushed with one attempt each.
-func (sh *Shard) replicator() {
-	defer close(sh.done)
-	for {
-		select {
-		case j := <-sh.jobs:
-			sh.push(j, 3)
-		case <-sh.stop:
-			for {
-				select {
-				case j := <-sh.jobs:
-					sh.push(j, 1)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// push delivers one replication job with up to attempts tries.
-func (sh *Shard) push(j replJob, attempts int) {
-	defer sh.pending.Add(-1)
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			select {
-			case <-time.After(time.Duration(50<<uint(i-1)) * time.Millisecond):
-			case <-sh.stop:
-			}
-		}
-		var resp *server.Response
-		ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
-		resp, _, err = sh.pool.Call(ctx, j.addr, j.req)
-		cancel()
-		if err == nil && resp.Err != "" {
-			// OpFree forwarded for a replica the successor never installed
-			// (or already dropped) answers BadHandle — the desired end
-			// state, not a failure.
-			if j.req.Op == server.OpFree && (resp.Code == server.CodeBadHandle || resp.Code == server.CodeEvicted) {
-				err = nil
-			} else {
-				err = resp.Error()
-			}
-		}
-		if err == nil {
-			sh.replications.Add(1)
-			return
-		}
-	}
-	sh.replErrors.Add(1)
-	sh.logf("cluster: replication %s to %s failed after %d attempts: %v", j.req.Op, j.addr, attempts, err)
-}

@@ -191,26 +191,27 @@ func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 	if fr.Err != "" {
 		t.Fatal(fr.Err)
 	}
-	// Serialize the owner's factors the way the Stored hook does.
-	var events []StoredEvent
-	owner2 := New(Config{Workers: 2, Cluster: captureHooks{stored: func(ev StoredEvent) { events = append(events, ev) }}})
+	// The Stored hook only names the handle; the factors travel the way the
+	// cluster layer ships them, serialized by ExportHandle.
+	var stored []uint64
+	owner2 := New(Config{Workers: 2, Cluster: captureHooks{stored: func(id, _ uint64) { stored = append(stored, id) }}})
 	defer owner2.Close()
 	fr2 := owner2.process(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
 	if fr2.Err != "" {
 		t.Fatal(fr2.Err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("Stored hook fired %d times, want 1", len(events))
+	if len(stored) != 1 || stored[0] != fr2.Handle {
+		t.Fatalf("Stored hook fired for %v, want once for handle %d", stored, fr2.Handle)
 	}
-	ev := events[0]
+	ev := owner2.ExportHandle(fr2.Handle)
+	if ev == nil {
+		t.Fatal("ExportHandle: live handle not exported")
+	}
+	if ev.Op != OpReplicate || ev.Handle != fr2.Handle || ev.Key != fr2.Key || ev.ValEpoch != 1 {
+		t.Fatalf("export = op %v handle %d key %#x epoch %d, want OpReplicate %d %#x 1", ev.Op, ev.Handle, ev.Key, ev.ValEpoch, fr2.Handle, fr2.Key)
+	}
 
-	rr := replica.process(&Request{
-		Op:     OpReplicate,
-		Handle: ev.Handle,
-		Key:    ev.Key,
-		Matrix: &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
-		Blob:   ev.Blob,
-	})
+	rr := replica.process(ev)
 	if rr.Err != "" {
 		t.Fatalf("replicate: %s", rr.Err)
 	}
@@ -233,9 +234,24 @@ func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 	if r := replica.process(&Request{Op: OpRefactorize, Handle: ev.Handle, Values: a.Val}); r.Err != "" {
 		t.Fatalf("refactorize on replica: %s", r.Err)
 	}
+	// A refactorize on the owner fires Stored again and bumps the epoch the
+	// export carries.
+	if r := owner2.process(&Request{Op: OpRefactorize, Handle: ev.Handle, Values: a.Val}); r.Err != "" {
+		t.Fatalf("refactorize on owner: %s", r.Err)
+	}
+	if ev2 := owner2.ExportHandle(ev.Handle); len(stored) != 2 || ev2.ValEpoch != 2 {
+		t.Errorf("after refactorize: Stored fired %d times, export epoch %d; want 2, 2", len(stored), ev2.ValEpoch)
+	}
 	// Garbage blob: typed in-band error, never a panic.
 	if r := replica.process(&Request{Op: OpReplicate, Handle: 999, Key: 1, Matrix: a, Blob: []byte("junk")}); r.Err == "" {
 		t.Error("garbage replicate blob accepted")
+	}
+	// A free is final: a push racing it must not re-install the handle.
+	if r := replica.process(&Request{Op: OpFree, Handle: ev.Handle}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if r := replica.process(&Request{Op: OpReplicate, Handle: ev.Handle, Key: ev.Key, Matrix: a, Blob: ev.Blob, ValEpoch: 3}); r.Code != CodeBadHandle || replica.HasHandle(ev.Handle) {
+		t.Errorf("push after free answered code %v (%q), handle live %v; want CodeBadHandle and no handle", r.Code, r.Err, replica.HasHandle(ev.Handle))
 	}
 }
 
@@ -279,14 +295,14 @@ func TestReplicateAnalysisWarmsCache(t *testing.T) {
 	}
 }
 
-// captureHooks is a minimal ClusterHooks that records Stored events.
+// captureHooks is a minimal ClusterHooks that records Stored calls.
 type captureHooks struct {
-	stored func(StoredEvent)
+	stored func(handle, key uint64)
 }
 
 func (c captureHooks) Route(*Request) *Response          { return nil }
 func (c captureHooks) Placement(uint64) (string, string) { return "", "" }
 func (c captureHooks) Analyzed(uint64, *sstar.Analysis)  {}
-func (c captureHooks) Stored(ev StoredEvent)             { c.stored(ev) }
+func (c captureHooks) Stored(handle, key uint64)         { c.stored(handle, key) }
 func (c captureHooks) Freed(uint64, uint64)              {}
 func (c captureHooks) AugmentStats(*ServerStats)         {}

@@ -243,13 +243,15 @@ func TestCorruptFrameDropsOnlyThatConnection(t *testing.T) {
 }
 
 // TestWrongProtocolHello proves version/magic mismatches — including a peer
-// speaking protocol v1, the all-gob encoding — are rejected in-band without
+// speaking protocol v1, the all-gob encoding, and v2, whose replicated
+// factors use the previous Save format — are rejected in-band without
 // killing the listener.
 func TestWrongProtocolHello(t *testing.T) {
 	addr := startServer(t, server.Config{Workers: 1})
 	for _, hello := range []server.Hello{
 		{Magic: "not-sstar", Version: 0},
 		{Magic: server.ProtoMagic, Version: 1},
+		{Magic: server.ProtoMagic, Version: 2},
 	} {
 		raw, err := net.Dial("tcp", addr)
 		if err != nil {

@@ -21,7 +21,7 @@ func (h *analyzedHooks) Analyzed(key uint64, _ *sstar.Analysis) {
 	h.keys = append(h.keys, key)
 	h.mu.Unlock()
 }
-func (h *analyzedHooks) Stored(StoredEvent)        {}
+func (h *analyzedHooks) Stored(uint64, uint64)     {}
 func (h *analyzedHooks) Freed(uint64, uint64)      {}
 func (h *analyzedHooks) AugmentStats(*ServerStats) {}
 

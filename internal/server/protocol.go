@@ -25,11 +25,13 @@ import (
 )
 
 // Protocol identification, exchanged in the Hello frame of each side.
-// Version 2 introduced the binary hot-path layout; a peer speaking any other
-// version is refused at the handshake.
+// Version 2 introduced the binary hot-path layout; version 3 carries
+// replicated factors (OpReplicate's Blob) in Save format v3, which a
+// version-2 shard cannot load. A peer speaking any other version is refused
+// at the handshake, so shards of both versions never form one fleet.
 const (
 	ProtoMagic   = "sstar-rpc"
-	ProtoVersion = 2
+	ProtoVersion = 3
 )
 
 // Frame type bytes of the service protocol. FrameRequest and FrameResponse
@@ -72,13 +74,14 @@ const (
 	// refresh) Blob — a factorization in the sstar Save format — under
 	// Handle with structure Key and the pattern carried in Matrix, marking
 	// it a replica. Idempotent: re-installing the same handle replaces the
-	// factors. Single-node servers accept it too, which is what makes a
-	// replica promotable without a mode switch.
+	// factors. A handle freed on the receiver is refused with CodeBadHandle
+	// (a free is final). Single-node servers accept it too, which is what
+	// makes a replica promotable without a mode switch.
 	OpReplicate Op = 8
 
 	// OpReplicateAnalysis replicates one analysis-cache entry: Blob is an
 	// Analysis in the sstar Save format, inserted into the receiver's
-	// structure-keyed cache so a failover factorize on the successor shard
+	// structure-keyed cache so a failover factorize on a replica position
 	// is a cache hit, not a cold analyze.
 	OpReplicateAnalysis Op = 9
 
@@ -94,8 +97,8 @@ const (
 
 	// OpManifest asks for the receiver's handle manifest — one entry per
 	// live factorization (handle id, structure key, values-epoch, replica
-	// flag). The anti-entropy repair sweep diffs manifests against ring
-	// placement to find missing, stale, or stray copies.
+	// flag). The cluster's placement reconciler diffs manifests against
+	// ring placement to find missing, stale, or stray copies.
 	OpManifest Op = 11
 )
 
@@ -224,8 +227,8 @@ type Request struct {
 }
 
 // ManifestEntry describes one live factorization in a shard's manifest: the
-// identity the repair sweep needs to decide whether a copy is missing, stale,
-// or stray — never the factors themselves.
+// identity the placement reconciler needs to decide whether a copy is
+// missing, stale, or stray — never the factors themselves.
 type ManifestEntry struct {
 	Handle   uint64
 	Key      uint64 // structure key (ring placement input)
@@ -342,12 +345,12 @@ type ServerStats struct {
 	// Redirects counts requests answered with CodeRedirect/CodeNotOwner:
 	// work refused because placement says it belongs elsewhere.
 	Redirects int64
-	// Replications counts replica pushes acknowledged by the successor
-	// shard (factor blobs and analysis entries alike).
+	// Replications counts replication pushes acknowledged by a peer shard
+	// (factor blobs, analysis entries and forwarded frees alike).
 	Replications int64
-	// ReplicationPending is the replication queue depth: writes whose
-	// replica the successor has not yet acknowledged (the lag a failover
-	// at this instant would expose).
+	// ReplicationPending counts the placement reconciler's dirty plus
+	// in-flight entries: local writes some replica position has not yet
+	// acknowledged (the lag a failover at this instant would expose).
 	ReplicationPending int
 	// ReplicaHandles is how many of Handles are replicas installed by a
 	// peer shard rather than factorized locally.
@@ -372,9 +375,10 @@ type ServerStats struct {
 	// Demotions counts owned handles flipped back to replica after their
 	// key moved away (typically the previous owner rejoining).
 	Demotions int64
-	// RepairPushes counts factor copies the anti-entropy sweep pushed to
-	// restore placement (missing or stale copies on the responsible
-	// shards, strays returned to their owner).
+	// RepairPushes counts factor copies the placement reconciler pushed
+	// because a peer manifest showed them missing or stale, not for a
+	// local write (copies lost to restarts, restored after promotions,
+	// strays returned to their owner).
 	RepairPushes int64
 	// RepairDrops counts stray handles the sweep released after their
 	// copies were confirmed on the responsible shards twice in a row.

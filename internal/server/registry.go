@@ -26,7 +26,7 @@ type handle struct {
 	// replica marks a handle installed by a peer shard's replication push
 	// rather than factorized locally. Replicas serve solves identically;
 	// the flag feeds the per-shard ownership gauges and the free-forwarding
-	// rule, and the repair sweep flips it on promotion/demotion.
+	// rule, and the placement reconciler flips it on promotion/demotion.
 	replica bool
 	// valEpoch is the values-epoch of the installed factors: 1 at
 	// factorize, incremented under mu on every refactorize, carried by
@@ -43,10 +43,11 @@ func (h *handle) bytes() int64 {
 	return h.f.FillIn()*12 + int64(len(h.rowPtr)+len(h.colInd))*8
 }
 
-// maxTombstones bounds the evicted-id memory. Ids are monotone and never
-// reused, so a tombstone only exists to answer "evicted" instead of "unknown"
-// — beyond the bound the oldest evictions degrade to ErrBadHandle, which is
-// still a correct (if less precise) refusal.
+// maxTombstones bounds the evicted- and freed-id memory. Ids are monotone
+// and never reused, so a tombstone only exists to answer "evicted" instead of
+// "unknown", and to refuse a replication push that would re-install a freed
+// id — beyond the bound the oldest evictions degrade to ErrBadHandle, which
+// is still a correct (if less precise) refusal.
 const maxTombstones = 4096
 
 // registry owns the live factorization handles and enforces the server's
@@ -62,7 +63,8 @@ const maxTombstones = 4096
 // collector reclaims the factors afterwards, so eviction never blocks behind
 // a running request. Evicted ids are remembered as tombstones (bounded) so
 // later operations on them fail with ErrHandleEvicted rather than the less
-// actionable ErrBadHandle.
+// actionable ErrBadHandle; freed ids are tombstoned too, so a replication
+// push racing the free cannot bring the handle back.
 type registry struct {
 	mu     sync.Mutex
 	budget int64         // max estimated bytes; 0 = unlimited
@@ -74,10 +76,20 @@ type registry struct {
 	bytes int64
 
 	evictions int64
-	tombs     map[uint64]struct{}
-	tombQ     []uint64 // FIFO of tombstone ids for bounding
+	tombs     map[uint64]tombstone
+	tombQ     []tombstone // FIFO of tombstones for bounding, oldest first
+	tombSeq   uint64
 
 	clock func() time.Time // injectable for tests
+}
+
+// tombstone records a departed id. seq orders tombstones: an id tombstoned
+// again (evicted, re-installed by a push, then freed) is queued twice, and
+// only its newest queue entry may expire it.
+type tombstone struct {
+	id    uint64
+	seq   uint64
+	freed bool
 }
 
 // regEntry is one live handle on the LRU list.
@@ -94,7 +106,7 @@ func newRegistry(budget int64, ttl time.Duration) *registry {
 		ttl:    ttl,
 		live:   make(map[uint64]*list.Element),
 		ll:     list.New(),
-		tombs:  make(map[uint64]struct{}),
+		tombs:  make(map[uint64]tombstone),
 		clock:  time.Now,
 	}
 	// Ids start at a random per-instance base (monotone from there). If they
@@ -133,11 +145,15 @@ func (r *registry) add(h *handle) uint64 {
 // carries the id its owner shard allocated, so a failover solve addresses the
 // same handle on the successor. Re-installing an existing id replaces the
 // factors in place (re-replication after a refactorize) and untombstones it:
-// a fresh replication push supersedes an earlier eviction. Eviction policy
-// applies exactly as in add.
-func (r *registry) put(id uint64, h *handle) {
+// a fresh replication push supersedes an earlier eviction. A freed id is
+// refused with ErrBadHandle: a free is final. Eviction policy applies
+// exactly as in add.
+func (r *registry) put(id uint64, h *handle) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.tombs[id].freed {
+		return fmt.Errorf("%w %d: freed here", sstar.ErrBadHandle, id)
+	}
 	if el, ok := r.live[id]; ok {
 		e := el.Value.(*regEntry)
 		// Values-epoch guard inside the registry lock: the caller's
@@ -148,13 +164,13 @@ func (r *registry) put(id uint64, h *handle) {
 		newer := e.h.valEpoch > h.valEpoch
 		e.h.mu.RUnlock()
 		if newer {
-			return
+			return nil
 		}
 		r.bytes -= e.bytes
 		e.h, e.bytes, e.lastUsed = h, h.bytes(), r.clock()
 		r.bytes += e.bytes
 		r.ll.MoveToFront(el)
-		return
+		return nil
 	}
 	delete(r.tombs, id)
 	el := r.ll.PushFront(&regEntry{id: id, h: h, bytes: h.bytes(), lastUsed: r.clock()})
@@ -165,6 +181,7 @@ func (r *registry) put(id uint64, h *handle) {
 			r.evict(r.ll.Back())
 		}
 	}
+	return nil
 }
 
 // contains reports whether id is live, without touching the LRU order.
@@ -177,7 +194,7 @@ func (r *registry) contains(id uint64) bool {
 
 // manifest snapshots every live handle's placement identity (id, structure
 // key, values-epoch, replica flag) without touching the LRU order — the
-// repair sweep must not keep strays artificially warm.
+// placement reconciler must not keep strays artificially warm.
 func (r *registry) manifest() []ManifestEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -189,22 +206,6 @@ func (r *registry) manifest() []ManifestEntry {
 		h.mu.RUnlock()
 	}
 	return out
-}
-
-// valEpochOf returns the live handle's values-epoch (0, false when id is not
-// live). Used to refuse stale replication pushes.
-func (r *registry) valEpochOf(id uint64) (uint64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	el, ok := r.live[id]
-	if !ok {
-		return 0, false
-	}
-	h := el.Value.(*regEntry).h
-	h.mu.RLock()
-	e := h.valEpoch
-	h.mu.RUnlock()
-	return e, true
 }
 
 // setRole flips a live handle's replica flag (false = owned). Returns whether
@@ -226,9 +227,9 @@ func (r *registry) setRole(id uint64, replica bool) bool {
 }
 
 // drop removes a live handle without a tombstone and without an error — the
-// repair sweep releasing a stray whose copies are confirmed elsewhere. A
-// later operation on the id redirects by placement (the shard layer) or fails
-// ErrBadHandle, both truthful.
+// placement reconciler releasing a stray whose copies are confirmed
+// elsewhere. A later operation on the id redirects by placement (the shard
+// layer) or fails ErrBadHandle, both truthful.
 func (r *registry) drop(id uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -268,28 +269,32 @@ func (r *registry) get(id uint64) (*handle, error) {
 		r.ll.MoveToFront(el)
 		return e.h, nil
 	}
-	if _, ok := r.tombs[id]; ok {
-		return nil, fmt.Errorf("%w (handle %d)", sstar.ErrHandleEvicted, id)
-	}
-	return nil, fmt.Errorf("%w %d", sstar.ErrBadHandle, id)
+	return nil, r.missing(id)
 }
 
-// free removes id on the owner's request. No tombstone is left — a freed
-// handle is gone by design, and later use is a caller bug (ErrBadHandle).
+// missing classifies an id that is not live. Caller holds r.mu.
+func (r *registry) missing(id uint64) error {
+	if t, ok := r.tombs[id]; ok && !t.freed {
+		return fmt.Errorf("%w (handle %d)", sstar.ErrHandleEvicted, id)
+	}
+	return fmt.Errorf("%w %d", sstar.ErrBadHandle, id)
+}
+
+// free removes id on the owner's request. The freed tombstone only refuses
+// replication pushes — a freed handle is gone by design, and later use is a
+// caller bug (ErrBadHandle).
 func (r *registry) free(id uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	el, ok := r.live[id]
 	if !ok {
-		if _, t := r.tombs[id]; t {
-			return fmt.Errorf("%w (handle %d)", sstar.ErrHandleEvicted, id)
-		}
-		return fmt.Errorf("%w %d", sstar.ErrBadHandle, id)
+		return r.missing(id)
 	}
 	e := el.Value.(*regEntry)
 	r.ll.Remove(el)
 	delete(r.live, id)
 	r.bytes -= e.bytes
+	r.tomb(id, true)
 	return nil
 }
 
@@ -323,10 +328,20 @@ func (r *registry) evict(el *list.Element) {
 	delete(r.live, e.id)
 	r.bytes -= e.bytes
 	r.evictions++
-	r.tombs[e.id] = struct{}{}
-	r.tombQ = append(r.tombQ, e.id)
+	r.tomb(e.id, false)
+}
+
+// tomb remembers a departed id, dropping the oldest tombstones past the
+// bound. Caller holds r.mu.
+func (r *registry) tomb(id uint64, freed bool) {
+	r.tombSeq++
+	t := tombstone{id: id, seq: r.tombSeq, freed: freed}
+	r.tombs[id] = t
+	r.tombQ = append(r.tombQ, t)
 	for len(r.tombQ) > maxTombstones {
-		delete(r.tombs, r.tombQ[0])
+		if old := r.tombQ[0]; r.tombs[old.id].seq == old.seq {
+			delete(r.tombs, old.id)
+		}
 		r.tombQ = r.tombQ[1:]
 	}
 }

@@ -132,3 +132,33 @@ func TestRegistryTombstonesBounded(t *testing.T) {
 		t.Fatalf("recent eviction: err %v, want ErrHandleEvicted", err)
 	}
 }
+
+// TestRegistryFreedTombstoneOutlivesReinstall: an id evicted, re-installed
+// by a replication push and then freed is queued as a tombstone twice. The
+// older queue entry must not expire the newer freed tombstone: a stray push
+// arriving within the bound must still be refused.
+func TestRegistryFreedTombstoneOutlivesReinstall(t *testing.T) {
+	h := testHandle(t)
+	r := newRegistry(0, 0)
+	id := r.add(h)
+	r.mu.Lock()
+	r.evict(r.live[id])
+	r.mu.Unlock()
+	if err := r.put(id, h); err != nil {
+		t.Fatalf("push after eviction: %v", err)
+	}
+	if err := r.free(id); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxTombstones-1; i++ {
+		if err := r.free(r.add(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.put(id, h); !errors.Is(err, sstar.ErrBadHandle) {
+		t.Fatalf("push of a freed id within the tombstone bound: err %v, want ErrBadHandle", err)
+	}
+	if len(r.tombQ) > maxTombstones || len(r.tombs) > maxTombstones {
+		t.Fatalf("tombstones unbounded: q=%d set=%d", len(r.tombQ), len(r.tombs))
+	}
+}

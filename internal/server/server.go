@@ -88,15 +88,16 @@ type Config struct {
 	// Cluster, when set, makes this server one shard of a multi-node
 	// cluster (see internal/cluster): requests for structures and handles
 	// placed elsewhere are refused with typed redirect codes, and
-	// successful factorizes/refactorizes are handed to the hooks for
+	// successful factorizes/refactorizes/frees are reported to the hooks for
 	// asynchronous replication. Nil keeps the standalone behavior exactly.
 	Cluster ClusterHooks
 }
 
 // ClusterHooks is the seam between the single-node server and the cluster
 // layer (internal/cluster). The server calls these inline on the request
-// path, so implementations must be fast and non-blocking — replication work
-// is handed off to a queue, never performed in the hook.
+// path, so implementations must be fast and non-blocking — the write hooks
+// only record what changed; the cluster layer pulls the factors later with
+// ExportHandle.
 type ClusterHooks interface {
 	// Route inspects a request before execution. A non-nil response
 	// short-circuits the request — the shard answering CodeRedirect or
@@ -110,33 +111,14 @@ type ClusterHooks interface {
 	// Analyzed is called after a cold analyze completes, with the
 	// immutable analysis, for asynchronous replication of the cache entry.
 	Analyzed(key uint64, an *sstar.Analysis)
-	// Stored is called after a successful factorize or refactorize with
-	// the serialized factors, for asynchronous replication to the
-	// successor shard.
-	Stored(ev StoredEvent)
-	// Freed is called after a successful free so the replica can be
-	// released too.
-	Freed(handle uint64, key uint64)
+	// Stored is called after a successful factorize or refactorize of
+	// handle, for asynchronous replication of its factors.
+	Stored(handle, key uint64)
+	// Freed is called after a successful free of an owned handle so the
+	// replicas can be released too.
+	Freed(handle, key uint64)
 	// AugmentStats fills the cluster section of a stats snapshot.
 	AugmentStats(st *ServerStats)
-}
-
-// StoredEvent is one replicable write: the handle's identity and its factors
-// serialized in the sstar Save format (bit-exact: a replica loaded from Blob
-// solves bit-identically to the original). RowPtr/ColInd are the retained
-// pattern backing the values-only refactorize fast path after a promotion;
-// they are shared read-only slices.
-type StoredEvent struct {
-	Handle uint64
-	Key    uint64
-	N      int
-	RowPtr []int
-	ColInd []int
-	Blob   []byte
-	// ValEpoch is the values-epoch of the serialized factors (1 on
-	// factorize, incremented per refactorize); it rides on the replication
-	// push so a delayed push cannot roll a newer replica back.
-	ValEpoch uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -630,24 +612,9 @@ func (s *Server) doFactorize(req *Request) *Response {
 	resp := &Response{Handle: id, N: a.N, Nnz: len(h.colInd), Key: key, Stats: stats}
 	if hk != nil {
 		resp.Addr, resp.Replica = hk.Placement(key)
-		if blob, err := serializeFactors(f); err == nil {
-			hk.Stored(StoredEvent{Handle: id, Key: key, N: a.N, RowPtr: h.rowPtr, ColInd: h.colInd, Blob: blob, ValEpoch: 1})
-		} else {
-			s.logf("server: serialize for replication: %v", err)
-		}
+		hk.Stored(id, key)
 	}
 	return resp
-}
-
-// serializeFactors renders f in the sstar Save format — the replication
-// payload. Save/Load round-trips factors bit-exactly, which is what makes a
-// failover solve on the replica bit-identical to one on the owner.
-func serializeFactors(f *sstar.Factorization) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 func (s *Server) doRefactorize(req *Request) *Response {
@@ -667,33 +634,18 @@ func (s *Server) doRefactorize(req *Request) *Response {
 	var stats RequestStats
 	stats.FactorWorkers = s.cfg.FactorWorkers
 	t0 := time.Now()
-	hk := s.cfg.Cluster
-	var blob []byte
-	var blobErr error
-	var valEpoch uint64
 	h.mu.Lock()
 	err = h.f.Refactorize(m)
 	if err == nil {
 		h.valEpoch++
-		valEpoch = h.valEpoch
-		if hk != nil {
-			// Serialize under the handle lock: a concurrent refactorize must
-			// not swap the factors mid-Save, or the replica would hold a
-			// torn mixture of two factorizations.
-			blob, blobErr = serializeFactors(h.f)
-		}
 	}
 	h.mu.Unlock()
 	stats.FactorNs = time.Since(t0).Nanoseconds()
 	if err != nil {
 		return errResponse(err)
 	}
-	if hk != nil {
-		if blobErr == nil {
-			hk.Stored(StoredEvent{Handle: req.Handle, Key: h.key, N: h.n, RowPtr: h.rowPtr, ColInd: h.colInd, Blob: blob, ValEpoch: valEpoch})
-		} else {
-			s.logf("server: serialize for replication: %v", blobErr)
-		}
+	if hk := s.cfg.Cluster; hk != nil {
+		hk.Stored(req.Handle, h.key)
 	}
 	return &Response{Handle: req.Handle, N: h.n, Nnz: len(h.colInd), Key: h.key, Stats: stats}
 }
@@ -755,13 +707,19 @@ func (s *Server) doReplicate(req *Request) *Response {
 	if valEpoch == 0 {
 		valEpoch = 1 // a pre-values-epoch peer
 	}
-	// Refuse (silently — the push succeeded from the sender's view, it is
-	// just obsolete) a push older than what is already installed: a delayed
-	// replication message must never roll newer factors back. Equal epochs
-	// re-install — the push is idempotent and the bytes identical.
-	if have, ok := s.reg.valEpochOf(req.Handle); ok && have > valEpoch {
-		s.staleReplicas.Add(1)
-		return &Response{Handle: req.Handle}
+	if h, err := s.reg.get(req.Handle); err == nil {
+		// Refuse (silently — the push succeeded from the sender's view, it
+		// is just obsolete) a push older than what is already installed: a
+		// delayed replication message must never roll newer factors back.
+		// Equal epochs re-install — the push is idempotent and the bytes
+		// identical.
+		h.mu.RLock()
+		stale := h.valEpoch > valEpoch
+		h.mu.RUnlock()
+		if stale {
+			s.staleReplicas.Add(1)
+			return &Response{Handle: req.Handle}
+		}
 	}
 	f, err := sstar.Load(bytes.NewReader(req.Blob))
 	if err != nil {
@@ -780,7 +738,9 @@ func (s *Server) doReplicate(req *Request) *Response {
 		replica:  true,
 		valEpoch: valEpoch,
 	}
-	s.reg.put(req.Handle, h)
+	if err := s.reg.put(req.Handle, h); err != nil {
+		return errResponse(fmt.Errorf("server: replicate: %w", err))
+	}
 	s.replicasInstalled.Add(1)
 	return &Response{Handle: req.Handle, N: m.N, Nnz: len(m.ColInd)}
 }
@@ -805,7 +765,7 @@ func (s *Server) doFree(req *Request) *Response {
 	if err := s.reg.free(req.Handle); err != nil {
 		return errResponse(err)
 	}
-	// Only an owned handle's free is forwarded to the replica holder —
+	// Only an owned handle's free is forwarded to the replica holders —
 	// freeing a replica must not trigger a forward of its own, or the free
 	// would cascade around the ring.
 	if hk := s.cfg.Cluster; hk != nil && owned {
@@ -819,7 +779,7 @@ func (s *Server) doFree(req *Request) *Response {
 func (s *Server) HasHandle(id uint64) bool { return s.reg.contains(id) }
 
 // Manifest snapshots every live handle's placement identity — the input the
-// cluster layer's anti-entropy repair sweep diffs against ring placement.
+// cluster layer's reconciler diffs against ring placement.
 func (s *Server) Manifest() []ManifestEntry { return s.reg.manifest() }
 
 // SetHandleRole flips a live handle between owned (replica=false) and
@@ -832,37 +792,47 @@ func (s *Server) SetHandleRole(id uint64, replica bool) bool {
 	return s.reg.setRole(id, replica)
 }
 
-// ExportHandle re-serializes a live handle's factors as a replicable
-// StoredEvent (bit-exact: Save/Load round-trips the pivot sequence and
-// values). The repair sweep uses it to push missing or stale copies; ok is
-// false when the id is not live. The snapshot is taken under the handle's
-// read lock, so a concurrent refactorize can never yield a torn blob.
-func (s *Server) ExportHandle(id uint64) (ev StoredEvent, ok bool) {
+// ExportHandle builds the OpReplicate request that installs a copy of live
+// handle id on a peer — the only place the server serializes factors, and so
+// the one source of every factor push the cluster layer sends. Blob is the
+// sstar Save format (bit-exact: Save/Load round-trips the pivot sequence and
+// values, which is what makes a failover solve on a replica bit-identical to
+// one on the owner), Matrix the retained pattern (shared read-only) backing a
+// promoted replica's values-only refactorize fast path, and ValEpoch the
+// values-epoch of exactly these factors: the snapshot is taken under the
+// handle's read lock, so a concurrent refactorize can never yield a torn
+// blob. Nil when id is not live.
+func (s *Server) ExportHandle(id uint64) *Request {
 	h, err := s.reg.get(id)
 	if err != nil {
-		return StoredEvent{}, false
+		return nil
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	blob, err := serializeFactors(h.f)
-	if err != nil {
-		s.logf("server: serialize for repair: %v", err)
-		return StoredEvent{}, false
+	var buf bytes.Buffer
+	if err := h.f.Save(&buf); err != nil {
+		s.logf("server: serialize handle %d: %v", id, err)
+		return nil
 	}
-	return StoredEvent{
+	return &Request{
+		Op:       OpReplicate,
 		Handle:   id,
 		Key:      h.key,
-		N:        h.n,
-		RowPtr:   h.rowPtr,
-		ColInd:   h.colInd,
-		Blob:     blob,
+		Matrix:   &sstar.Matrix{N: h.n, M: h.n, RowPtr: h.rowPtr, ColInd: h.colInd},
+		Blob:     buf.Bytes(),
 		ValEpoch: h.valEpoch,
-	}, true
+	}
 }
 
-// DropHandle releases a live handle without a tombstone — the repair sweep
-// removing a stray whose copies are confirmed on the responsible shards.
+// DropHandle releases a live handle without a tombstone — the placement
+// reconciler removing a stray whose copies are confirmed on the responsible
+// shards.
 func (s *Server) DropHandle(id uint64) bool { return s.reg.drop(id) }
+
+// FreeHandle releases a live handle as a client free does (tombstoned, so no
+// later replication push re-installs it) but without the Freed hook: the
+// cluster layer applying a free it learned from a peer that refused a push.
+func (s *Server) FreeHandle(id uint64) bool { return s.reg.free(id) == nil }
 
 // InstallAnalysis inserts an analysis into the structure-keyed cache — the
 // receiving end of analysis replication, exposed for the cluster layer and

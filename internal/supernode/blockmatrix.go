@@ -92,6 +92,27 @@ type BlockMatrix struct {
 	URow [][]*Block
 }
 
+// Values returns the factor values in layout order — block column by block
+// column, the diagonal block, then its L blocks, then its U blocks — the
+// slab Layout.Wrap takes back.
+func (bm *BlockMatrix) Values() []float64 {
+	n := 0
+	bm.eachInLayoutOrder(func(blk *Block) { n += len(blk.Data) })
+	vals := make([]float64, 0, n)
+	bm.eachInLayoutOrder(func(blk *Block) { vals = append(vals, blk.Data...) })
+	return vals
+}
+
+func (bm *BlockMatrix) eachInLayoutOrder(f func(*Block)) {
+	for b := range bm.Diag {
+		for _, blocks := range [][]*Block{bm.Diag[b : b+1], bm.LCol[b], bm.URow[b]} {
+			for _, blk := range blocks {
+				f(blk)
+			}
+		}
+	}
+}
+
 // BlockAt returns the block at block coordinates (i, j), or nil when the
 // static structure has no such block.
 func (bm *BlockMatrix) BlockAt(i, j int) *Block {

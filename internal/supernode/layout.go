@@ -133,6 +133,25 @@ func NewMatrixLayout(p *Partition, a *sparse.CSR, rowPerm, colPerm []int) *Layou
 	return l
 }
 
+// Covers reports an error when an entry of a — the matrix before the row
+// permutation rowPerm and the column permutation colPerm, both of order N —
+// lies outside the static block structure of p. A partition analyzed from a
+// covers it by construction; a decoded one is checked before a matrix is
+// assembled by it (NewMatrixLayout panics on such an entry).
+func (p *Partition) Covers(a *sparse.CSR, rowPerm, colPerm []int) error {
+	for i := 0; i < a.N; i++ {
+		r := rowPerm[i]
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			c := colPerm[a.ColInd[k]]
+			bi, bj := p.BlockOf[r], p.BlockOf[c]
+			if bi > bj && searchInt32(p.LRows[bj], int32(r)) < 0 || bi < bj && searchInt32(p.UCols[bi], int32(c)) < 0 {
+				return fmt.Errorf("supernode: entry (%d,%d) outside static block structure", r, c)
+			}
+		}
+	}
+	return nil
+}
+
 // Assemble returns a fresh block matrix holding the values of a, which must
 // have the pattern the layout was built from (NewMatrixLayout): one zeroed
 // slab, the block headers, and one gather of a.Val through the scatter map.
@@ -140,18 +159,30 @@ func (l *Layout) Assemble(a *sparse.CSR) *BlockMatrix {
 	if len(a.Val) != len(l.scatter) {
 		panic(fmt.Sprintf("supernode: matrix has %d entries, layout maps %d", len(a.Val), len(l.scatter)))
 	}
-	bm, slab := l.alloc()
+	slab := make([]float64, l.size)
+	bm := l.wrap(slab)
 	for k, slot := range l.scatter {
 		slab[slot] = a.Val[k]
 	}
 	return bm
 }
 
+// Wrap returns a block matrix whose blocks are windows of slab, which holds
+// the factor values in this layout's order (BlockMatrix.Values). It is how a
+// decoded factorization gets its blocks: their shapes come from the checked
+// partition, so the value count is the only thing left to check.
+func (l *Layout) Wrap(slab []float64) (*BlockMatrix, error) {
+	if len(slab) != l.size {
+		return nil, fmt.Errorf("supernode: %d factor values, partition lays out %d", len(slab), l.size)
+	}
+	return l.wrap(slab), nil
+}
+
 // Adopt checks that src has exactly the blocks of this layout — the block
 // lists, and every block's coordinates, index lists and value count — and
 // returns a block matrix over a fresh slab holding src's values. It is how a
-// decoded factorization is admitted: any mismatch is an error, so no later
-// solve indexes out of range.
+// factorization decoded from the block-by-block format (Save v2) is
+// admitted: any mismatch is an error, so no later solve indexes out of range.
 func (l *Layout) Adopt(src *BlockMatrix) (*BlockMatrix, error) {
 	p := l.p
 	if len(src.Diag) != p.NB || len(src.LCol) != p.NB || len(src.URow) != p.NB {
@@ -161,19 +192,15 @@ func (l *Layout) Adopt(src *BlockMatrix) (*BlockMatrix, error) {
 	// Count the values src carries before allocating, so a partition that
 	// lays out more than the stream holds cannot force a huge slab.
 	stored := 0
-	for b := 0; b < p.NB; b++ {
-		for _, list := range [][]*Block{src.Diag[b : b+1], src.LCol[b], src.URow[b]} {
-			for _, blk := range list {
-				if blk != nil {
-					stored += len(blk.Data)
-				}
-			}
+	src.eachInLayoutOrder(func(blk *Block) {
+		if blk != nil {
+			stored += len(blk.Data)
 		}
-	}
+	})
 	if stored != l.size {
 		return nil, fmt.Errorf("supernode: block matrix holds %d values, partition lays out %d", stored, l.size)
 	}
-	bm, _ := l.alloc()
+	bm := l.wrap(make([]float64, l.size))
 	for b := 0; b < p.NB; b++ {
 		for _, pair := range [][2][]*Block{
 			{bm.Diag[b : b+1], src.Diag[b : b+1]},
@@ -184,35 +211,25 @@ func (l *Layout) Adopt(src *BlockMatrix) (*BlockMatrix, error) {
 			if len(got) != len(want) {
 				return nil, fmt.Errorf("supernode: block row/column %d holds %d blocks of a kind, partition has %d", b, len(got), len(want))
 			}
-			for t := range want {
-				if err := adoptBlock(want[t], got[t]); err != nil {
-					return nil, err
+			for t, dst := range want {
+				blk := got[t]
+				if blk == nil || blk.I != dst.I || blk.J != dst.J || !slices.Equal(blk.Rows, dst.Rows) ||
+					!slices.Equal(blk.Cols, dst.Cols) || len(blk.Data) != len(dst.Data) {
+					return nil, fmt.Errorf("supernode: block (%d,%d) does not match the partition", dst.I, dst.J)
 				}
+				copy(dst.Data, blk.Data)
 			}
 		}
 	}
 	return bm, nil
 }
 
-// adoptBlock copies src's values into dst after checking src has dst's
-// shape.
-func adoptBlock(dst, src *Block) error {
-	if src == nil || src.I != dst.I || src.J != dst.J || !slices.Equal(src.Rows, dst.Rows) ||
-		!slices.Equal(src.Cols, dst.Cols) || len(src.Data) != len(dst.Data) {
-		return fmt.Errorf("supernode: block (%d,%d) does not match the partition", dst.I, dst.J)
-	}
-	copy(dst.Data, src.Data)
-	return nil
-}
-
-// alloc returns a block matrix over a fresh zeroed slab, and the slab. The
-// block index lists alias the partition: an L block's Rows is a sub-slice of
-// LRows, a U block's Cols one of UCols, and diagonal blocks slice the
-// layout's iota. All headers live in one []Block and the pointer tables
-// share one []*Block.
-func (l *Layout) alloc() (*BlockMatrix, []float64) {
+// wrap returns a block matrix over slab (l.size long). The block index lists
+// alias the partition: an L block's Rows is a sub-slice of LRows, a U
+// block's Cols one of UCols, and diagonal blocks slice the layout's iota.
+// All headers live in one []Block and the pointer tables share one []*Block.
+func (l *Layout) wrap(slab []float64) *BlockMatrix {
 	p := l.p
-	slab := make([]float64, l.size)
 	blocks := make([]Block, l.nblocks)
 	ptrs := make([]*Block, l.nblocks)
 	bm := &BlockMatrix{
@@ -259,5 +276,5 @@ func (l *Layout) alloc() (*BlockMatrix, []float64) {
 			bm.URow[b][t] = place(b, p.BlockOf[cols[0]], idx, cols)
 		}
 	}
-	return bm, slab
+	return bm
 }

@@ -38,6 +38,10 @@ const DefaultMaxPayload = 64 << 20
 
 const headerSize = 1 + 4 + 4
 
+// readChunk is the payload allocated before any payload byte arrives; a
+// larger payload doubles its buffer as it is read.
+const readChunk = 1 << 20
+
 // ErrFrameTooLarge reports a frame whose declared payload exceeds the
 // caller's bound — corrupt length bytes or an oversized message.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds payload limit")
@@ -84,9 +88,18 @@ func ReadFrame(r io.Reader, maxPayload int) (typ byte, payload []byte, err error
 	if int64(n) > int64(maxPayload) {
 		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, maxPayload)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: read frame payload: %w", noEOF(err))
+	// The payload grows as bytes arrive rather than as the header claims, so
+	// a torn or hostile header costs what was actually sent, not maxPayload.
+	payload = make([]byte, min(int(n), readChunk))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, payload[off:])
+		if err != nil {
+			return 0, nil, fmt.Errorf("wire: read frame payload: %w", noEOF(err))
+		}
+		if off += m; off == int(n) {
+			break
+		}
+		payload = append(payload, make([]byte, min(int(n)-off, off))...)
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(hdr[5:9]); got != want {
 		return 0, nil, fmt.Errorf("%w: computed %08x, header %08x", ErrChecksum, got, want)

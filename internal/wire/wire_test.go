@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,33 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 	if _, _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 4); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestTornFrameAllocatesWhatArrived: a header claiming a payload far past
+// the bytes that follow fails without allocating the claimed size, and a
+// payload larger than one read chunk still round-trips.
+func TestTornFrameAllocatesWhatArrived(t *testing.T) {
+	hdr := []byte{1, 0x03, 0xff, 0xff, 0xff, 0, 0, 0, 0} // claims ~64 MiB
+	torn := append(hdr, "only this"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(torn), 0)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("torn frame accepted")
+	}
+	if allocs := after.TotalAlloc - before.TotalAlloc; allocs > 2*readChunk {
+		t.Errorf("a torn frame allocated %d bytes, want at most %d", allocs, 2*readChunk)
+	}
+
+	big := bytes.Repeat([]byte{0x5a}, 3*readChunk+17)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 2, big); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := ReadFrame(&buf, 0); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("multi-chunk payload did not round-trip (err=%v)", err)
 	}
 }
 

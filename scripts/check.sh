@@ -44,6 +44,13 @@ go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz='^FuzzRequestDecode$' -fuzztime=5s ./internal/server
 go test -run='^$' -fuzz='^FuzzRedirectDecode$' -fuzztime=5s ./internal/server
 go test -run='^$' -fuzz='^FuzzMembershipDecode$' -fuzztime=5s ./internal/server
+# Replicas install whatever a replication push carries through Load and
+# LoadAnalysis; these targets re-checksum every mutated frame so the fuzzer
+# reaches the decoders' structure checks. Their inputs are multi-KB framed
+# gob streams, and minimizing each new one would outlast the smoke, so
+# minimization is off.
+go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=5s -fuzzminimizetime=0 .
+go test -run='^$' -fuzz='^FuzzLoadAnalysis$' -fuzztime=5s -fuzzminimizetime=0 .
 
 # Observability overhead guard: the disabled instrumentation path (no
 # Observer, stats off) must stay allocation-free in the kernels and the

@@ -15,9 +15,10 @@ go test ./...
 # time. -o /dev/null keeps the binary out of the checkout.
 (cd perfbench && go vet ./... && go build -o /dev/null ./...)
 
-# The cluster package is all cross-shard concurrency (replication queues,
-# failover, scatter/gather, and the self-healing machinery: heartbeat loops,
-# membership merges, repair sweeps racing live traffic); its suite is fast
+# The cluster package is all cross-shard concurrency (the placement
+# reconciler's dirty set and passes racing live writes, failover,
+# scatter/gather, and the self-healing machinery: heartbeat loops,
+# membership merges); its suite is fast
 # enough to run under the race detector on every commit. The symbolic and
 # supernode packages carry the
 # parallel analyze stages (subtree workers, candidate sweep, block builds)

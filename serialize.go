@@ -1,8 +1,10 @@
 package sstar
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"sstar/internal/core"
 	"sstar/internal/sparse"
@@ -11,19 +13,24 @@ import (
 )
 
 // The on-disk format is a sequence of internal/wire frames (length-prefixed,
-// CRC-32-checked gob payloads): one header frame identifying the format,
-// then one section frame per component. The checksums make Load fail
-// cleanly — never panic, never return silently corrupt factors — on any
-// truncated or bit-flipped stream.
+// CRC-32-checked payloads): one header frame identifying the format, then one
+// frame per component — gob sections, except the factor values, which travel
+// as one raw slab. The checksums make Load fail cleanly — never panic, never
+// return silently corrupt factors — on any truncated or bit-flipped stream.
 const (
 	serialMagic   = "sstar-lu"
-	serialVersion = 2 // v2: wire-framed with checksums + pattern fingerprint trailer
+	serialVersion = 3 // v3: factor values as one raw little-endian float64 slab in layout order
+
+	// serialVersionBlocks is the previous format, which Load still reads:
+	// the factors as one gob section of every block with its index lists.
+	serialVersionBlocks = 2
 
 	analysisMagic   = "sstar-an"
 	analysisVersion = 1
 
 	frameHeader  byte = 0x48 // 'H'
 	frameSection byte = 0x53 // 'S'
+	frameValues  byte = 0x56 // 'V'
 )
 
 type serialHeader struct {
@@ -45,12 +52,23 @@ func (f *Factorization) Save(w io.Writer) error {
 	if err := wire.WriteGob(w, frameHeader, serialHeader{Magic: serialMagic, Version: serialVersion}); err != nil {
 		return fmt.Errorf("sstar: save header: %w", err)
 	}
+	if err := wire.WriteGob(w, frameSection, f.sym); err != nil {
+		return fmt.Errorf("sstar: save symbolic: %w", err)
+	}
+	// The block shapes follow from the partition, so the values alone
+	// describe the factors: one raw slab, no per-block encoding.
+	vals := f.fact.BM.Values()
+	raw := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+	}
+	if err := wire.WriteFrame(w, frameValues, raw); err != nil {
+		return fmt.Errorf("sstar: save factors: %w", err)
+	}
 	sections := []struct {
 		name string
 		v    any
 	}{
-		{"symbolic", f.sym},
-		{"factors", f.fact.BM},
 		{"pivots", f.fact.Piv},
 		{"flop counts", f.fact.Fl},
 		{"trailer", serialTrailer{PatHash: f.patHash, PatNnz: f.patNnz}},
@@ -63,11 +81,12 @@ func (f *Factorization) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a factorization previously written by Save. The result supports
-// every solve variant (Solve, SolveTranspose, SolveMany, Refine, ...) and
-// Refactorize with same-pattern matrices. Corrupt input of any kind —
-// truncation, flipped bits, wrong format, or factor blocks that do not match
-// the partition — returns an error; Load never panics.
+// Load reads a factorization previously written by Save, in the current
+// format or the previous one (v2). The result supports every solve variant
+// (Solve, SolveTranspose, SolveMany, Refine, ...) and Refactorize with
+// same-pattern matrices. Corrupt input of any kind — truncation, flipped
+// bits, wrong format, or factor blocks that do not match the partition —
+// returns an error; Load never panics.
 func Load(r io.Reader) (*Factorization, error) {
 	var h serialHeader
 	if err := wire.ReadGob(r, frameHeader, 1<<16, &h); err != nil {
@@ -76,18 +95,39 @@ func Load(r io.Reader) (*Factorization, error) {
 	if h.Magic != serialMagic {
 		return nil, fmt.Errorf("sstar: not a factorization stream")
 	}
-	if h.Version != serialVersion {
+	if h.Version != serialVersion && h.Version != serialVersionBlocks {
 		return nil, fmt.Errorf("sstar: unsupported format version %d", h.Version)
 	}
-	fact := &core.Factorization{}
 	var sym core.Symbolic
+	if err := wire.ReadGob(r, frameSection, 0, &sym); err != nil {
+		return nil, fmt.Errorf("sstar: load symbolic: %w", err)
+	}
+	if sym.N <= 0 || sym.Partition == nil || sym.Static == nil {
+		return nil, fmt.Errorf("sstar: factorization stream is incomplete")
+	}
+	if err := checkSymbolic(&sym); err != nil {
+		return nil, err
+	}
+	// The factors land in a fresh slab whose blocks the checked partition
+	// lays out, with index lists aliasing it, as a computed
+	// factorization's do.
+	layout := supernode.NewLayout(sym.Partition)
+	var bm *supernode.BlockMatrix
+	var err error
+	if h.Version == serialVersionBlocks {
+		bm, err = loadBlocks(r, layout)
+	} else {
+		bm, err = loadValues(r, layout)
+	}
+	if err != nil {
+		return nil, err
+	}
+	fact := &core.Factorization{BM: bm, Sym: &sym}
 	var tr serialTrailer
 	sections := []struct {
 		name string
 		v    any
 	}{
-		{"symbolic", &sym},
-		{"factors", &fact.BM},
 		{"pivots", &fact.Piv},
 		{"flop counts", &fact.Fl},
 		{"trailer", &tr},
@@ -97,12 +137,6 @@ func Load(r io.Reader) (*Factorization, error) {
 			return nil, fmt.Errorf("sstar: load %s: %w", s.name, err)
 		}
 	}
-	if sym.N <= 0 || sym.Partition == nil || sym.Static == nil || fact.BM == nil {
-		return nil, fmt.Errorf("sstar: factorization stream is incomplete")
-	}
-	if err := checkSymbolic(&sym); err != nil {
-		return nil, err
-	}
 	if len(fact.Piv) != sym.N {
 		return nil, fmt.Errorf("sstar: %d pivots for order %d", len(fact.Piv), sym.N)
 	}
@@ -111,16 +145,45 @@ func Load(r io.Reader) (*Factorization, error) {
 			return nil, fmt.Errorf("sstar: pivot %d of row %d is outside 0..%d", t, m, sym.N-1)
 		}
 	}
-	// The decoded blocks must be exactly the blocks the partition lays
-	// out; their values move into a fresh slab whose index lists alias
-	// the partition, as a computed factorization's do.
-	bm, err := supernode.NewLayout(sym.Partition).Adopt(fact.BM)
+	return &Factorization{sym: &sym, fact: fact, patHash: tr.PatHash, patNnz: tr.PatNnz}, nil
+}
+
+// loadValues reads the factor value slab of a current-format stream.
+func loadValues(r io.Reader, layout *supernode.Layout) (*supernode.BlockMatrix, error) {
+	typ, raw, err := wire.ReadFrame(r, 0)
+	if err == nil && (typ != frameValues || len(raw)%8 != 0) {
+		err = fmt.Errorf("not a factor value slab")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sstar: load factors: %w", err)
+	}
+	slab := make([]float64, len(raw)/8)
+	for i := range slab {
+		slab[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	bm, err := layout.Wrap(slab)
 	if err != nil {
 		return nil, fmt.Errorf("sstar: stream carries factors that do not match their partition: %w", err)
 	}
-	fact.BM = bm
-	fact.Sym = &sym
-	return &Factorization{sym: &sym, fact: fact, patHash: tr.PatHash, patNnz: tr.PatNnz}, nil
+	return bm, nil
+}
+
+// loadBlocks reads the factors of a v2 stream — every block with its
+// coordinates and index lists — and admits them only if they are exactly
+// the blocks the layout's partition lays out.
+func loadBlocks(r io.Reader, layout *supernode.Layout) (*supernode.BlockMatrix, error) {
+	var src *supernode.BlockMatrix
+	if err := wire.ReadGob(r, frameSection, 0, &src); err != nil {
+		return nil, fmt.Errorf("sstar: load factors: %w", err)
+	}
+	if src == nil {
+		return nil, fmt.Errorf("sstar: factorization stream is incomplete")
+	}
+	bm, err := layout.Adopt(src)
+	if err != nil {
+		return nil, fmt.Errorf("sstar: stream carries factors that do not match their partition: %w", err)
+	}
+	return bm, nil
 }
 
 // analysisHeaderSections carries everything an Analysis holds beyond the
@@ -181,8 +244,15 @@ func LoadAnalysis(r io.Reader) (*Analysis, error) {
 	if meta.N <= 0 || len(meta.Ptr) != meta.N+1 || sym.N != meta.N || sym.Partition == nil || sym.Static == nil {
 		return nil, fmt.Errorf("sstar: analysis stream is incomplete")
 	}
+	if err := checkPattern(meta.N, meta.Ptr, meta.Ind); err != nil {
+		return nil, err
+	}
 	if err := checkSymbolic(&sym); err != nil {
 		return nil, err
+	}
+	pat := &sparse.CSR{N: meta.N, M: meta.N, RowPtr: meta.Ptr, ColInd: meta.Ind}
+	if err := sym.Partition.Covers(pat, sym.RowPerm, sym.ColPerm); err != nil {
+		return nil, fmt.Errorf("sstar: stream carries a block structure that does not hold its pattern: %w", err)
 	}
 	return &Analysis{
 		sym:  &sym,
@@ -210,6 +280,29 @@ func checkSymbolic(sym *core.Symbolic) error {
 	}
 	if err := sym.Partition.Check(); err != nil {
 		return fmt.Errorf("sstar: stream carries an inconsistent block partition: %w", err)
+	}
+	return nil
+}
+
+// checkPattern rejects a decoded analysed pattern that is not a CSR
+// structure of order n — row pointers rising from 0 to len(ind), strictly
+// increasing in-range column indices per row — since FactorizeWith accepts
+// exactly the matrices that repeat it and assembles their entries by it.
+func checkPattern(n int, ptr, ind []int) error {
+	if ptr[0] != 0 || ptr[n] != len(ind) {
+		return fmt.Errorf("sstar: stream carries an analysed pattern whose row pointers do not span its %d entries", len(ind))
+	}
+	for i := 0; i < n; i++ {
+		if ptr[i] > ptr[i+1] {
+			return fmt.Errorf("sstar: stream carries an analysed pattern whose row pointers fall at row %d", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			if j := ind[k]; j < 0 || j >= n || (k > ptr[i] && j <= ind[k-1]) {
+				return fmt.Errorf("sstar: stream carries an analysed pattern with column %d out of order or range in row %d", j, i)
+			}
+		}
 	}
 	return nil
 }

@@ -3,12 +3,15 @@ package sstar
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"sstar/internal/core"
 	"sstar/internal/supernode"
+	"sstar/internal/wire"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -300,38 +303,53 @@ func TestLoadRejectsInconsistentStructure(t *testing.T) {
 		"short pivot sequence": func(f *core.Factorization) { f.Piv = f.Piv[:len(f.Piv)-1] },
 		"pivot out of range":   func(f *core.Factorization) { f.Piv[0] = 1 << 20 },
 		"negative pivot":       func(f *core.Factorization) { f.Piv[1] = -1 },
+		// Block shapes are not in the stream (they follow from the
+		// partition), so a damaged block shows as a wrong value count.
 		"L block data one entry short": func(f *core.Factorization) {
 			lb := firstLBlock(t, f)
 			lb.Data = lb.Data[:len(lb.Data)-1]
 		},
-		"L block row index out of range": func(f *core.Factorization) {
-			// Index lists are shared with the partition: mutate a copy.
+		"L block data one entry long": func(f *core.Factorization) {
 			lb := firstLBlock(t, f)
-			lb.Rows = append([]int32(nil), lb.Rows...)
-			lb.Rows[0] = 1 << 20
+			lb.Data = append(lb.Data, 1)
 		},
 		"L block dropped from its column": func(f *core.Factorization) {
 			lb := firstLBlock(t, f)
 			f.BM.LCol[lb.J] = f.BM.LCol[lb.J][1:]
 		},
 	}
+	// A v2 stream carries every block's index lists, so it can also
+	// disagree with the partition in a way the current format cannot.
+	blockMuts := map[string]func(f *core.Factorization){
+		"L block row index out of range": func(f *core.Factorization) {
+			// Index lists are shared with the partition: mutate a copy.
+			lb := firstLBlock(t, f)
+			lb.Rows = append([]int32(nil), lb.Rows...)
+			lb.Rows[0] = 1 << 20
+		},
+	}
 	for name, mut := range symMuts {
 		factMuts[name] = func(f *core.Factorization) { mut(f.Sym) }
 	}
-	for name, mut := range factMuts {
-		f, err := Factorize(a, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		mut(f.fact)
-		var buf bytes.Buffer
-		if err := f.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&buf); err == nil {
-			t.Errorf("Load accepted a factorization with %s", name)
+	check := func(format string, save func(*Factorization, io.Writer) error, muts map[string]func(*core.Factorization)) {
+		for name, mut := range muts {
+			f, err := Factorize(a, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut(f.fact)
+			var buf bytes.Buffer
+			if err := save(f, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&buf); err == nil {
+				t.Errorf("Load accepted a %s factorization with %s", format, name)
+			}
 		}
 	}
+	check("current-format", (*Factorization).Save, factMuts)
+	check("v2", saveV2, factMuts)
+	check("v2", saveV2, blockMuts)
 	for name, mut := range symMuts {
 		an, err := Analyze(a, DefaultOptions())
 		if err != nil {
@@ -344,6 +362,60 @@ func TestLoadRejectsInconsistentStructure(t *testing.T) {
 		}
 		if _, err := LoadAnalysis(&buf); err == nil {
 			t.Errorf("LoadAnalysis accepted an analysis with %s", name)
+		}
+	}
+}
+
+// saveV2 writes f in the previous Save format (v2): the factors as one gob
+// section holding every block with its coordinates and index lists.
+func saveV2(f *Factorization, w io.Writer) error {
+	if err := wire.WriteGob(w, frameHeader, serialHeader{Magic: serialMagic, Version: serialVersionBlocks}); err != nil {
+		return err
+	}
+	for _, v := range []any{f.sym, f.fact.BM, f.fact.Piv, f.fact.Fl, serialTrailer{PatHash: f.patHash, PatNnz: f.patNnz}} {
+		if err := wire.WriteGob(w, frameSection, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLoadReadsVersion2: factorizations saved in the previous format stay
+// loadable. testdata/factors-v2.bin was written by the v2 Save of the
+// factorization below; it and a v2 stream written now both load, solve
+// bitwise equal to the fresh factors and refactorize.
+func TestLoadReadsVersion2(t *testing.T) {
+	a := GenGrid2D(6, 6, false, GenOptions{Seed: 34})
+	f, err := Factorize(a, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile("testdata/factors-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	if err := saveV2(f, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	b := rhs(a.N, 35)
+	want, _ := f.Solve(b)
+	for name, stream := range map[string][]byte{"fixture": fixture, "fresh v2 stream": fresh.Bytes()} {
+		g, err := Load(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		x, err := g.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: X[%d] differs bitwise from the fresh factors", name, i)
+			}
+		}
+		if err := g.Refactorize(a); err != nil {
+			t.Fatalf("%s: refactorize: %v", name, err)
 		}
 	}
 }
